@@ -172,13 +172,17 @@ class Network:
         self.eval_count += 1
 
         # conditioning enters through the attention branch's norm only; the
-        # residual stream itself carries x plus the two branch outputs
+        # residual stream itself carries x plus the two branch outputs, added
+        # in place (a = mm; a += x): float addition commutes, so the bits are
+        # those of x + mm without another temporary
         hn = layer_norm(x + t_emb @ w.wt, LN_EPS)
         q, k, v = hn @ w.wq, hn @ w.wk, hn @ w.wv
-        scores = (q @ k.T) * np.float32(1.0 / math.sqrt(cfg.channels))
-        a = x + (softmax_rows(scores) @ v) @ w.wo
-        an = layer_norm(a, LN_EPS)
-        out = a + gelu(an @ w.w1) @ w.w2
+        scores = q @ k.T
+        scores *= np.float32(1.0 / math.sqrt(cfg.channels))
+        a = (softmax_rows(scores) @ v) @ w.wo
+        a += x
+        out = gelu(layer_norm(a, LN_EPS) @ w.w1) @ w.w2
+        out += a
 
         return BlockIO(input=x, output=out, delta=out - x)
 

@@ -118,7 +118,9 @@ def recompute_quota(rho: float, num_blocks: int) -> int:
 def select_blocks(scores: Sequence[float], rho: float, created_at_step: int = -1) -> PolicySequence:
     """Flag the ceil(rho*N) lowest-scoring blocks for recomputation.
 
-    Ties break toward the lower block index (stable sort), so traces are
+    Non-finite scores (NaN, +-inf) rank as least similar, so a block whose
+    similarity cannot be trusted is always among the first recomputed.  Ties
+    break toward the lower block index (stable sort), so traces are
     reproducible.
     """
     scores = [float(s) for s in scores]
@@ -126,7 +128,8 @@ def select_blocks(scores: Sequence[float], rho: float, created_at_step: int = -1
         raise ConfigError("select_blocks needs at least one score")
     if not (0.0 <= rho <= 1.0):
         raise ConfigError("rho must lie in [0, 1]")
-    order = np.argsort(np.asarray(scores, dtype=np.float64), kind="stable")
+    keys = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(np.where(np.isfinite(keys), keys, -np.inf), kind="stable")
     flags = [0] * len(scores)
     for idx in order[: recompute_quota(rho, len(scores))]:
         flags[int(idx)] = 1
@@ -267,7 +270,8 @@ class SortblockEngine:
                 self._record_delta(served - x)
             rec.flags.append(flag)
         else:  # follow
-            assert self.policy is not None, "follow step before any ranked step"
+            if self.policy is None:
+                raise SortblockError("follow step before any ranked step")
             flag = self.policy.flags[index]
             if flag:
                 io = compute()
@@ -313,7 +317,8 @@ class SortblockEngine:
 
     def _predict(self, index: int) -> tuple[Matrix, bool]:
         entry = self.entries[index]
-        assert entry is not None, "prediction requested before the first full compute"
+        if entry is None:
+            raise SortblockError("prediction requested before the first full compute")
         if self.cfg.predict_mode == "copy":
             return entry.value, False
         if entry.prev_value is None:
@@ -356,7 +361,8 @@ class SortblockEngine:
             scores = []
             for i in range(self.num_blocks):
                 ref = self.ref_deltas[i]
-                assert ref is not None, "ranked step before any full step"
+                if ref is None:
+                    raise SortblockError("ranked step before any full step")
                 scores.append(cosine_similarity(pred_deltas[i], ref))
             rho = self.cfg.effective_rho(self._t)
             self.policy = select_blocks(scores, rho, created_at_step=self._step)
@@ -383,7 +389,12 @@ def run_sortblock(
     engine.trace.wall_time_s = time.perf_counter() - t0
     if evals_before is not None:
         # the trace's accounting must agree with the network's own counter
-        assert engine.trace.total_evals == net.eval_count - evals_before
+        counted = net.eval_count - evals_before
+        if engine.trace.total_evals != counted:
+            raise SortblockError(
+                f"eval accounting mismatch: the trace counts {engine.trace.total_evals} "
+                f"block evals, the network {counted}"
+            )
     engine.trace.config = {
         "mode": "sortblock",
         "refresh_interval": cfg.refresh_interval,

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .errors import ConfigError, ShapeError
 from .numerics import Matrix
@@ -84,13 +83,25 @@ def psnr(a: ImageView, b: ImageView) -> float:
     return min(10.0 * math.log10(1.0 / mse), PSNR_CAP_DB)
 
 
-def _ssim_channel(x: np.ndarray, y: np.ndarray) -> float:
+def _box_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over the SSIM_WINDOW x SSIM_WINDOW window centred on each pixel,
+    the border mirrored (d c b a | a b c d); scipy.ndimage.uniform_filter with
+    mode "reflect" up to rounding."""
     size = SSIM_WINDOW
-    mu_x = uniform_filter(x, size=size)
-    mu_y = uniform_filter(y, size=size)
-    xx = uniform_filter(x * x, size=size) - mu_x * mu_x
-    yy = uniform_filter(y * y, size=size) - mu_y * mu_y
-    xy = uniform_filter(x * y, size=size) - mu_x * mu_y
+    h, w = a.shape
+    padded = np.pad(a, size // 2, mode="symmetric")
+    # sliding sums of `size` shifted slices: every window sums few terms of
+    # the same magnitude, unlike differences of running sums along a row
+    cols = sum(padded[i : i + h] for i in range(size))
+    return sum(cols[:, j : j + w] for j in range(size)) / (size * size)
+
+
+def _ssim_channel(x: np.ndarray, y: np.ndarray) -> float:
+    mu_x = _box_mean(x)
+    mu_y = _box_mean(y)
+    xx = _box_mean(x * x) - mu_x * mu_x
+    yy = _box_mean(y * y) - mu_y * mu_y
+    xy = _box_mean(x * y) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * xy + SSIM_C2)
     den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (xx + yy + SSIM_C2)
     return float(np.mean(num / den))

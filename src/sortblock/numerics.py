@@ -5,6 +5,20 @@ Matrices are plain 2-D C-contiguous ``numpy.float32`` arrays (row-major), which
 is exactly the storage contract the rest of the package assumes.  Feature math
 runs in float32; statistics and the polynomial normal equations run in float64
 to keep conditioning under control.
+
+The float64 kernels of the block forward (``layer_norm``, ``softmax_rows``,
+``gelu``) follow one rule: no float64 temporary of 128 KiB or more per block
+eval, work in place, same rounding.  Each works in place (``out=`` ufuncs) on
+one float64 buffer -- a copy of its input (which ``layer_norm`` also squares
+into a temporary for the variance), or, for ``gelu``, 64 KiB reused chunk by
+chunk -- and its rounding sequence is that of the plain formula in its
+docstring, operation for operation.  128 KiB, one 64x256 float64 MLP
+activation, is glibc's mmap and trim threshold: a chain of temporaries of that
+size made the allocator return pages to the kernel and fault them in again on
+every block eval, which cost more than the arithmetic.  A float32 operand
+casts to float64 exactly and scaling by a power of two is exact, so either may
+move without changing a bit; any other reordering of the arithmetic changes
+latents.
 """
 
 from __future__ import annotations
@@ -117,31 +131,66 @@ def layer_norm(x: Matrix, eps: float = 1e-5) -> Matrix:
     """Row-wise normalization to mean 0 / variance 1 (population variance).
 
     No learned scale or shift; any affine conditioning is folded into the
-    adjacent projections by the caller.
+    adjacent projections by the caller.  Computes, in float64,
+    ``c = x - mean(x)``, ``var = mean(c * c)`` and ``c / sqrt(var + eps)``.
     """
     _require_2d("x", x)
     if eps < 0:
         raise ShapeError("layer_norm: eps must be non-negative")
     mean = x.mean(axis=1, keepdims=True, dtype=np.float64)
-    centered = x.astype(np.float64) - mean
-    var = np.mean(centered * centered, axis=1, keepdims=True)
-    return (centered / np.sqrt(var + eps)).astype(np.float32)
+    work = x.astype(np.float64)
+    work -= mean
+    var = np.mean(work * work, axis=1, keepdims=True)
+    work /= np.sqrt(var + eps)
+    return work.astype(np.float32)
 
 
 def softmax_rows(x: Matrix) -> Matrix:
-    """Row-wise softmax with max-subtraction for numerical stability."""
+    """Row-wise softmax with max-subtraction for numerical stability:
+    ``e = exp(x - max(x))``, then ``e / sum(e)``, in float64."""
     _require_2d("x", x)
-    x64 = x.astype(np.float64)
-    x64 -= x64.max(axis=1, keepdims=True)
-    e = np.exp(x64)
-    return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+    work = x.astype(np.float64)
+    work -= work.max(axis=1, keepdims=True)
+    np.exp(work, out=work)
+    work /= work.sum(axis=1, keepdims=True)
+    return work.astype(np.float32)
+
+
+_GELU_SCALE = math.sqrt(2.0 / math.pi)
+
+# Elements per chunk in gelu.  Its float64 buffer holds two chunks, the input
+# and the work, 64 KiB together: a 64x256 MLP activation takes four chunks.
+_GELU_CHUNK = 4096
 
 
 def gelu(x: Matrix) -> Matrix:
-    """Elementwise GELU, tanh approximation."""
-    x64 = x.astype(np.float64)
-    inner = math.sqrt(2.0 / math.pi) * (x64 + 0.044715 * (x64 * x64 * x64))
-    return (0.5 * x64 * (1.0 + np.tanh(inner))).astype(np.float32)
+    """Elementwise GELU, tanh approximation, in float64:
+    ``0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * ((x * x) * x))))``.
+
+    Evaluated chunk by chunk in one reused float64 buffer; the operation is
+    elementwise, so chunking does not change a bit.  Each chunk is cast to
+    float64 once, so the ufuncs below run without casting.
+    """
+    out = np.empty(np.shape(x), dtype=np.float32)
+    flat_x = np.reshape(x, -1)
+    flat_out = out.reshape(-1)
+    buf = np.empty((2, min(flat_x.size, _GELU_CHUNK)), dtype=np.float64)
+    for start in range(0, flat_x.size, _GELU_CHUNK):
+        stop = start + _GELU_CHUNK
+        chunk = flat_x[start:stop]
+        x64, w = buf[:, : chunk.size]
+        x64[...] = chunk
+        np.multiply(x64, x64, out=w)
+        w *= x64
+        w *= 0.044715
+        w += x64
+        w *= _GELU_SCALE
+        np.tanh(w, out=w)
+        w += 1.0
+        w *= x64
+        w *= 0.5  # a power of two, so applying it last rounds the same
+        flat_out[start:stop] = w
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from sortblock import (
     ShapeError,
     SortblockConfig,
     SortblockEngine,
+    SortblockError,
     cosine_similarity,
     expected_eval_count,
     inner_window,
@@ -106,6 +111,14 @@ class TestSelectBlocks:
         policy = select_blocks(scores, rho)
         n = len(scores)
         assert sum(policy.flags) == min(n, max(0, math.ceil(rho * n - 1e-9)))
+
+    def test_non_finite_scores_rank_least_similar(self):
+        # a NaN similarity used to sort last and the block was never recomputed
+        assert select_blocks([0.5, math.nan, 0.1, 0.9], 0.5).flags == [0, 1, 1, 0]
+        assert select_blocks([0.5, math.inf, 0.1, -math.inf], 0.5).flags == [0, 1, 0, 1]
+        assert select_blocks([math.nan, 0.2, math.nan, 0.1], 0.25).flags == [1, 0, 0, 0]
+        policy = select_blocks([0.5, math.nan], 0.5)
+        assert math.isnan(policy.scores[1])
 
     def test_quota_rounding(self):
         assert recompute_quota(0.3, 12) == 4  # ceil(3.6)
@@ -309,11 +322,61 @@ class TestPolicyReplay:
 
 class TestEngineMisuse:
     def test_hook_before_begin_step_raises(self, default_window):
-        from sortblock import SortblockError
-
         engine = SortblockEngine(SortblockConfig(window=default_window), 12)
         with pytest.raises(SortblockError):
             engine(0, np.zeros((64, 64), dtype=np.float32), lambda: None)
+
+    def test_follow_step_without_policy_raises(self):
+        engine = SortblockEngine(SortblockConfig(refresh_interval=5, window=(900, 100)), 12)
+        engine.phase = 1  # the next in-window step is a follow step
+        engine.begin_step(0, 500)
+        with pytest.raises(SortblockError, match="follow step before any ranked step"):
+            engine(0, np.zeros((64, 64), dtype=np.float32), lambda: None)
+
+    def test_ranked_step_on_cold_cache_raises(self):
+        engine = SortblockEngine(SortblockConfig(refresh_interval=5, window=(900, 100)), 12)
+        engine.phase = 0  # the next in-window step is a ranked step
+        engine.begin_step(0, 500)
+        with pytest.raises(SortblockError, match="before the first full compute"):
+            engine(0, np.zeros((64, 64), dtype=np.float32), lambda: None)
+
+    def test_accounting_mismatch_raises_under_optimize(self):
+        """The runtime checks are raises, not asserts, so they hold under -O."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _MISCOUNT_UNDER_OPTIMIZE],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "SortblockError: eval accounting mismatch" in proc.stdout
+
+
+_MISCOUNT_UNDER_OPTIMIZE = """
+import sys
+assert False, "run me with python -O"  # stripped under -O, so this proves -O is on
+from sortblock import DitConfig, SortblockConfig, SortblockError, init_network, make_run, make_schedule, run_sortblock
+
+class Miscounting:
+    def __init__(self, net):
+        self.net = net
+        self.num_blocks = net.num_blocks
+        self.eval_count = 0  # never moves: the network's own counter disagrees with the trace
+
+    def forward(self, z, t, hook=None):
+        return self.net.forward(z, t, hook)
+
+net = init_network(DitConfig(num_blocks=2, num_tokens=8, channels=8))
+sched = make_schedule(1000)
+run = make_run(sched, 10, 0, (8, 8))
+try:
+    run_sortblock(Miscounting(net), run, sched, SortblockConfig(refresh_interval=2, window=(999, 1)))
+except SortblockError as exc:
+    print(f"SortblockError: {exc}")
+else:
+    sys.exit("no error raised")
+"""
 
 
 class TestColdCacheWindow:

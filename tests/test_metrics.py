@@ -15,7 +15,7 @@ from sortblock import (
     ssim,
     standard_normal,
 )
-from sortblock.metrics import SSIM_C1
+from sortblock.metrics import SSIM_C1, SSIM_C2, SSIM_WINDOW
 
 
 def _img(arr):
@@ -87,6 +87,55 @@ class TestSsim:
         per_channel_0 = 1.0
         per_channel_1 = (0.0 + SSIM_C1) / (1.0 + SSIM_C1)
         assert ssim(a, b) == pytest.approx((per_channel_0 + per_channel_1) / 2, abs=1e-6)
+
+
+def _reference_ssim(a, b, uniform_filter):
+    """SSIM as computed with scipy.ndimage.uniform_filter (mode "reflect")."""
+
+    def channel(x, y):
+        mu_x = uniform_filter(x, size=SSIM_WINDOW)
+        mu_y = uniform_filter(y, size=SSIM_WINDOW)
+        xx = uniform_filter(x * x, size=SSIM_WINDOW) - mu_x * mu_x
+        yy = uniform_filter(y * y, size=SSIM_WINDOW) - mu_y * mu_y
+        xy = uniform_filter(x * y, size=SSIM_WINDOW) - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * xy + SSIM_C2)
+        den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (xx + yy + SSIM_C2)
+        return float(np.mean(num / den))
+
+    if a.pixels.ndim == 2:
+        return channel(a.pixels, b.pixels)
+    return float(np.mean([channel(a.pixels[..., c], b.pixels[..., c]) for c in range(a.channels)]))
+
+
+class TestSsimAgainstScipy:
+    """The numpy box filter replaced scipy.ndimage.uniform_filter; SSIM must
+    agree with the scipy formulation to 1e-12 wherever scipy is installed."""
+
+    def _pairs(self):
+        rng = np.random.default_rng(11)
+        for h, w in ((7, 7), (7, 30), (16, 16), (64, 64), (41, 23)):
+            x = rng.random((h, w))
+            yield _img(x), _img(np.clip(x + rng.normal(0, 0.2, (h, w)), 0, 1))
+        flat = np.full((32, 32), 0.37) + 1e-9 * rng.random((32, 32))
+        yield _img(flat), _img(np.clip(flat + rng.normal(0, 1e-6, flat.shape), 0, 1))
+        steps = np.round(rng.random((24, 40)) * 4) / 4
+        yield _img(steps), _img(np.clip(steps + rng.normal(0, 0.01, steps.shape), 0, 1))
+        rgb = rng.random((20, 18, 3))
+        yield _img(rgb), _img(np.clip(rgb[::-1], 0, 1))
+        for seed in (0, 1):
+            latent = standard_normal(Rng(seed), 64, 64)
+            yield latent_pair_to_images(latent, latent * np.float32(0.9) + np.float32(0.05))
+
+    def test_matches_uniform_filter_to_1e12(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        for a, b in self._pairs():
+            assert abs(ssim(a, b) - _reference_ssim(a, b, ndimage.uniform_filter)) < 1e-12
+            assert abs(ssim(b, a) - _reference_ssim(b, a, ndimage.uniform_filter)) < 1e-12
+
+    def test_identical_images_exactly_one(self):
+        for a, b in self._pairs():
+            assert ssim(a, a) == 1.0
+            assert ssim(b, b) == 1.0
 
 
 class TestKendallTau:
