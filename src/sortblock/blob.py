@@ -45,9 +45,18 @@ def read_latent(path) -> tuple[np.ndarray, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: malformed blob header: {exc}") from exc
     offset += header_len
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: blob header is not a JSON object")
     if header.get("dtype") != "f32le":
         raise ParseError(f"{path}: unsupported dtype {header.get('dtype')!r}")
-    shape = tuple(int(v) for v in header["shape"])
+    try:
+        shape = tuple(int(v) for v in header["shape"])
+    except KeyError:
+        raise ParseError(f"{path}: blob header has no shape") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed shape {header['shape']!r}: {exc}") from exc
+    if any(v < 0 for v in shape):
+        raise ParseError(f"{path}: negative dimension in shape {list(shape)}")
     expected = int(np.prod(shape)) * 4
     payload = raw[offset:]
     if len(payload) != expected:

@@ -164,7 +164,7 @@ class ExperimentConfig:
 def load_config_file(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -209,9 +209,11 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: unreadable CSV: {exc}") from exc
     if not rows:
         raise ParseError(f"{path}: empty CSV")
     return rows[0], rows[1:]

@@ -38,7 +38,7 @@ from .diffusion import NoiseSchedule, SamplerRun, sample
 from .errors import ConfigError, ShapeError, SortblockError
 from .numerics import Matrix
 from .ratio import RatioPolicy, evaluate_ratio
-from .trace import RunTrace, StepRecord
+from .trace import RunTrace, StepRecord, served_delta_stats
 
 # Similarity assigned when a delta has (near-)zero norm: an unchanged block is
 # the safest possible reuse candidate, so it ranks as maximally similar.
@@ -216,6 +216,7 @@ class SortblockEngine:
         self._anchor_step: Optional[int] = None  # most recent completed full-compute step
         self._preds: Optional[list[Matrix]] = None
         self._record: Optional[StepRecord] = None
+        self._served: Optional[np.ndarray] = None  # this step's served deltas, one row per block
 
     def begin_step(self, step_index: int, t: int) -> None:
         self._step = step_index
@@ -247,6 +248,9 @@ class SortblockEngine:
         rec = self._record
         if rec is None:
             raise SortblockError("engine hook called before begin_step")
+        if self._served is None:
+            self._served = np.empty((self.num_blocks, x.size), dtype=np.float32)
+        row = self._served[index]
 
         if label in ("outside", "full"):
             io = compute()
@@ -255,7 +259,7 @@ class SortblockEngine:
                 self.ref_deltas[index] = io.delta
             rec.flags.append(1)
             served = io.output
-            self._record_delta(io.delta)
+            row[:] = io.delta.reshape(-1)
         elif label == "ranked":
             if index == 0:
                 self._rank_and_select(x)
@@ -264,10 +268,10 @@ class SortblockEngine:
                 io = compute()
                 self._update_cache(index, io.output, anchor=False)
                 served = io.output
-                self._record_delta(io.delta)
+                row[:] = io.delta.reshape(-1)
             else:
                 served = self._preds[index]
-                self._record_delta(served - x)
+                np.subtract(served, x, out=row.reshape(x.shape))
             rec.flags.append(flag)
         else:  # follow
             if self.policy is None:
@@ -277,15 +281,16 @@ class SortblockEngine:
                 io = compute()
                 self._update_cache(index, io.output, anchor=False)
                 served = io.output
-                self._record_delta(io.delta)
+                row[:] = io.delta.reshape(-1)
             else:
                 served, degenerate = self._predict(index)
                 if degenerate:
                     rec.degenerate_predictions += 1
-                self._record_delta(served - x)
+                np.subtract(served, x, out=row.reshape(x.shape))
             rec.flags.append(flag)
 
         if index == self.num_blocks - 1:
+            rec.delta_l1, rec.delta_l2 = served_delta_stats(self._served)
             self.trace.total_evals += rec.evals
             rec.eval_total = self.trace.total_evals
             if label in ("outside", "full"):
@@ -367,11 +372,6 @@ class SortblockEngine:
             rho = self.cfg.effective_rho(self._t)
             self.policy = select_blocks(scores, rho, created_at_step=self._step)
             rec.scores = list(self.policy.scores)
-
-    def _record_delta(self, delta: Matrix) -> None:
-        rec = self._record
-        rec.delta_l1.append(float(np.mean(np.abs(delta))))
-        rec.delta_l2.append(float(np.linalg.norm(delta.astype(np.float64))))
 
 
 def run_sortblock(

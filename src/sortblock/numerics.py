@@ -19,10 +19,16 @@ every block eval, which cost more than the arithmetic.  A float32 operand
 casts to float64 exactly and scaling by a power of two is exact, so either may
 move without changing a bit; any other reordering of the arithmetic changes
 latents.
+
+The generator (``Rng``) is xorshift64*, whose state step is linear over GF(2).
+``Rng.fill_u64`` uses that to jump lanes ahead and draw 16 values per lane in
+parallel numpy arithmetic; the stream, every weight byte and every latent
+are those of the one-draw-at-a-time loop (see the class docstring).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,12 +60,79 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+# fill_u64 lanes: lane l makes draws _LANE_RUN*l .. _LANE_RUN*l + _LANE_RUN-1;
+# longer fills run in chunks of _MAX_LANES lanes, which bounds the jump table
+_LANE_RUN = 16
+_MAX_LANES = 1024
+
+
+def _xorshift_step(s: np.ndarray, tmp: np.ndarray) -> None:
+    """One xorshift64 state step T, in place on a uint64 array."""
+    np.right_shift(s, 12, out=tmp)
+    s ^= tmp
+    np.left_shift(s, 25, out=tmp)
+    s ^= tmp
+    np.right_shift(s, 27, out=tmp)
+    s ^= tmp
+
+
+def _gf2_apply(images: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out`` the GF(2) linear map with basis images ``images`` (64,)
+    applied to every element of the uint64 array ``v``, one bit position at a
+    time."""
+    out[...] = 0
+    bit = np.empty_like(v)
+    for b in range(64):
+        np.right_shift(v, b, out=bit)
+        bit &= 1
+        bit *= images[b]
+        out ^= bit
+
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """(64, _MAX_LANES) uint64: column l holds the images of the basis vectors
+    1 << b (row b) under T^(_LANE_RUN*l).  Built by doubling: with the first
+    n columns and the images under T^(R*n) known, T^(R*(n+l)) =
+    T^(R*n) o T^(R*l) gives the next n columns, and T^(R*n) squares.  The
+    columns are mapped a few rows at a time: a freed temporary of 128 KiB or
+    more would raise glibc's dynamic mmap and trim thresholds for the rest of
+    the process (see the module docstring)."""
+    columns = np.empty((64, _MAX_LANES), dtype=np.uint64)
+    columns[:, 0] = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    jump = columns[:, 0].copy()
+    tmp = np.empty_like(jump)
+    for _ in range(_LANE_RUN):
+        _xorshift_step(jump, tmp)
+    n = 1
+    while n < _MAX_LANES:
+        rows = min(64, max(1, 8192 // n))
+        for r in range(0, 64, rows):
+            _gf2_apply(jump, columns[r : r + rows, :n], columns[r : r + rows, n : 2 * n])
+        square = jump.copy()
+        _gf2_apply(square, square, jump)
+        n *= 2
+    columns.flags.writeable = False
+    return columns
+
+
 class Rng:
     """xorshift64* generator seeded through splitmix64.
 
     Identical seeds produce identical streams.  The exact constants are fixed
     above so any run is reproducible within this implementation; bit-exactness
     across other implementations is not a goal.
+
+    ``fill_u64`` returns the same draws as ``count`` calls of ``next_u64`` and
+    leaves the same state behind, but generates them in numpy lanes: lane l
+    makes draws ``16*l .. 16*l + 15`` from its own start state, and all lanes
+    step together as uint64 arrays.  The state step T (three shift-xors) is
+    linear over GF(2), so T^(16*l) is a 64x64 bit matrix: lane l starts at the
+    XOR of the images of the current state's set bits under it, read from a
+    cached jump table.  The output multiply acts on each stepped state and
+    never feeds back into the state, so it is applied afterwards to all
+    draws at once.  The table holds 1024 lanes (64 x 1024 uint64, 512 KiB,
+    built once per process); longer fills run in chunks of 16,384 draws.
     """
 
     def __init__(self, seed: int):
@@ -80,9 +153,29 @@ class Rng:
         return (self.next_u64() >> 11) / float(1 << 53)
 
     def fill_u64(self, count: int) -> np.ndarray:
-        """Next `count` raw draws as a uint64 array (sequential, exact)."""
-        nxt = self.next_u64
-        return np.array([nxt() for _ in range(count)], dtype=np.uint64)
+        """Next `count` raw draws as a uint64 array (exact; see the class
+        docstring for the lane layout)."""
+        count = max(count, 0)
+        lanes = -(-count // _LANE_RUN)
+        raw = np.empty((lanes, _LANE_RUN), dtype=np.uint64)
+        for first in range(0, lanes, _MAX_LANES):
+            chunk = raw[first : first + _MAX_LANES]
+            state_bits = np.unpackbits(
+                np.array([self._state], dtype="<u8").view(np.uint8), bitorder="little"
+            ).view(bool)
+            s = np.bitwise_xor.reduce(
+                _jump_table()[:, : len(chunk)], axis=0, where=state_bits[:, None]
+            )
+            tmp = np.empty_like(s)
+            for j in range(_LANE_RUN):
+                _xorshift_step(s, tmp)
+                chunk[:, j] = s
+            self._state = int(chunk[-1, -1])
+        draws = raw.reshape(-1)[:count]
+        if count:
+            self._state = int(draws[-1])  # the last lane may run past `count`
+        raw *= np.uint64(_XS64_MUL)
+        return draws
 
 
 def standard_normal(rng: Rng, rows: int, cols: int) -> Matrix:

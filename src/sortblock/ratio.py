@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, MissingDataError
+from .errors import ConfigError, FitError, MissingDataError, ParseError
 from .numerics import Polynomial, poly_eval, polyfit
 from .trace import RunTrace
 
@@ -123,10 +123,23 @@ def save_policy(policy: RatioPolicy, path) -> None:
 
 
 def load_policy(path) -> RatioPolicy:
-    doc = json.loads(Path(path).read_text())
-    return RatioPolicy(
-        poly=Polynomial(int(doc["degree"]), tuple(float(c) for c in doc["coefficients"])),
-        beta=float(doc["beta"]),
-        t_min=float(doc["t_min"]),
-        t_max=float(doc["t_max"]),
-    )
+    """Read a policy written by ``save_policy``; any malformed content (not
+    JSON, not an object, a missing or mistyped field, an invalid policy)
+    raises ``ParseError`` naming the path."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: invalid policy JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: a policy must be a JSON object")
+    try:
+        return RatioPolicy(
+            poly=Polynomial(int(doc["degree"]), tuple(float(c) for c in doc["coefficients"])),
+            beta=float(doc["beta"]),
+            t_min=float(doc["t_min"]),
+            t_max=float(doc["t_max"]),
+        )
+    except KeyError as exc:
+        raise ParseError(f"{path}: policy lacks the key {exc}") from exc
+    except (TypeError, ValueError, OverflowError, ConfigError, FitError) as exc:
+        raise ParseError(f"{path}: invalid policy: {exc}") from exc

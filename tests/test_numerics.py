@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from sortblock import (
     as_matrix,
     gelu,
     layer_norm,
+    make_run,
+    make_schedule,
     matmul,
     poly_eval,
     polyfit,
@@ -134,6 +137,71 @@ class TestRng:
         r = Rng(5)
         vals = [r.random() for _ in range(1000)]
         assert all(0.0 <= v < 1.0 for v in vals)
+
+
+def _reference_fill_u64(rng: Rng, count: int) -> np.ndarray:
+    """The one-draw-at-a-time fill_u64 that the lane version replaced."""
+    nxt = rng.next_u64
+    return np.array([nxt() for _ in range(count)], dtype=np.uint64)
+
+
+# lane edges (a lane is 16 draws), chunk edges (1024 lanes) and the fill sizes
+# of the default network's weights
+EDGE_COUNTS = (0, 1, 15, 16, 17, 4096, 16383, 16384, 16385, 32768 + 5)
+
+
+class TestFillU64:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(0, 40_000)))
+    def test_matches_sequential_stream(self, seed, count):
+        lanes, sequential = Rng(seed), Rng(seed)
+        got = lanes.fill_u64(count)
+        assert got.dtype == np.uint64 and got.shape == (count,)
+        assert np.array_equal(got, _reference_fill_u64(sequential, count))
+        assert lanes.next_u64() == sequential.next_u64()
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+    @pytest.mark.parametrize("count", EDGE_COUNTS)
+    def test_edge_counts(self, seed, count):
+        assert np.array_equal(Rng(seed).fill_u64(count), _reference_fill_u64(Rng(seed), count))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 3000), st.integers(0, 3000))
+    def test_state_continuity(self, seed, a, b):
+        ref = _reference_fill_u64(Rng(seed), a + b + 2)
+        r = Rng(seed)
+        first = r.fill_u64(a)
+        second = r.fill_u64(b)
+        assert np.array_equal(np.concatenate([first, second]), ref[: a + b])
+        assert r.next_u64() == int(ref[a + b])
+        # next_u64 then fill
+        r = Rng(seed)
+        assert r.next_u64() == int(ref[0])
+        assert np.array_equal(r.fill_u64(a), ref[1 : a + 1])
+
+    def test_random_after_fill(self):
+        r, s = Rng(11), Rng(11)
+        r.fill_u64(1000)
+        _reference_fill_u64(s, 1000)
+        assert [r.random() for _ in range(5)] == [s.random() for _ in range(5)]
+
+    def test_first_draws_pinned(self):
+        r = Rng(0)
+        assert (r.next_u64(), r.next_u64()) == (0x7BBCB40D550682D0, 0xDE7FE413D00CC9FD)
+        assert Rng(0).fill_u64(2).tolist() == [0x7BBCB40D550682D0, 0xDE7FE413D00CC9FD]
+
+    def test_default_weights_digest(self, default_net):
+        h = hashlib.sha256()
+        for w in default_net.blocks:
+            for m in (w.wq, w.wk, w.wv, w.wo, w.w1, w.w2, w.wt):
+                h.update(m.astype("<f4").tobytes())
+        assert h.hexdigest() == "cc55f6b10356e3124caf364903dc28ddbf94d5c79fea2a39526cf7af636f419e"
+
+    def test_default_z_init_digest(self):
+        z = make_run(make_schedule(1000), 50, 0, (64, 64)).z_init
+        assert hashlib.sha256(z.astype("<f4").tobytes()).hexdigest() == (
+            "a6322121b2395697bf02283a75a8b2f9160aa27a4308240ff11b251947a76ec2"
+        )
 
 
 class TestPolyfit:

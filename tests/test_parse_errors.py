@@ -1,0 +1,132 @@
+"""Malformed input files.  Policy and latent blob files raise ParseError
+naming the path, through the library and through the CLI (exit 1, one
+``error:`` line); config files and curve CSVs that are not UTF-8 exit 1 too."""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from sortblock import ParseError, blob, load_policy
+from sortblock.cli import main
+
+GOOD_POLICY = {"degree": 3, "coefficients": [0.1, 0.2, 0.0, 0.3], "beta": 1.0, "t_min": 0.0, "t_max": 900.0}
+
+
+def _policy_doc(**changes):
+    doc = dict(GOOD_POLICY)
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return json.dumps(doc)
+
+
+BAD_POLICIES = {
+    "not_json": "degree: 3\n",
+    "empty": "",
+    "not_utf8": b"\xff\xfe\x00{",
+    "list": "[1, 2, 3]",
+    "no_coefficients": _policy_doc(coefficients=None),
+    "no_degree": _policy_doc(degree=None),
+    "no_beta": _policy_doc(beta=None),
+    "no_t_max": _policy_doc(t_max=None),
+    "coefficients_not_numbers": _policy_doc(coefficients=["a", "b", "c", "d"]),
+    "coefficients_scalar": _policy_doc(coefficients=5),
+    "degree_not_number": _policy_doc(degree="three"),
+    "degree_unsupported": _policy_doc(degree=7, coefficients=[0.0] * 8),
+    "coefficient_count": _policy_doc(coefficients=[0.1, 0.2]),
+    "beta_out_of_range": _policy_doc(beta=2.0),
+    "empty_range": _policy_doc(t_min=5.0, t_max=5.0),
+}
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return path
+
+
+def _blob_bytes(header, payload=b"\0" * 64):
+    header_bytes = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return blob.MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + payload
+
+
+BAD_BLOBS = {
+    "header_list": _blob_bytes([4, 4]),
+    "header_string": _blob_bytes("f32le"),
+    "no_shape": _blob_bytes({"dtype": "f32le", "seed": 0, "config_hash": "h"}),
+    "shape_scalar": _blob_bytes({"shape": 16, "dtype": "f32le"}),
+    "shape_not_numbers": _blob_bytes({"shape": ["four", 4], "dtype": "f32le"}),
+    "shape_negative": _blob_bytes({"shape": [-4, -4], "dtype": "f32le"}),
+    "shape_infinite": _blob_bytes(b'{"shape": [Infinity, 4], "dtype": "f32le"}'),
+    "no_dtype": _blob_bytes({"shape": [4, 4]}),
+    "header_not_json": _blob_bytes(b"{shape: [4, 4]}"),
+    "header_length_past_end": blob.MAGIC + struct.pack("<I", 1 << 20) + b"{}",
+    "bad_magic": b"NOT-A-LATENT-FILE-AT-ALL",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_POLICIES))
+def test_load_policy_raises_parse_error(tmp_path, case):
+    path = _write(tmp_path / "policy.json", BAD_POLICIES[case])
+    with pytest.raises(ParseError, match="policy.json"):
+        load_policy(path)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BLOBS))
+def test_read_latent_raises_parse_error(tmp_path, case):
+    path = _write(tmp_path / "latent.bin", BAD_BLOBS[case])
+    with pytest.raises(ParseError, match="latent.bin"):
+        blob.read_latent(path)
+
+
+def test_good_files_still_load(tmp_path):
+    policy = load_policy(_write(tmp_path / "policy.json", json.dumps(GOOD_POLICY)))
+    assert policy.poly.coefficients == (0.1, 0.2, 0.0, 0.3)
+    arr, header = blob.read_latent(_write(tmp_path / "latent.bin", _blob_bytes({"shape": [4, 4], "dtype": "f32le"})))
+    assert arr.shape == (4, 4) and not arr.any()
+    empty, _ = blob.read_latent(_write(tmp_path / "empty.bin", _blob_bytes({"shape": [0, 4], "dtype": "f32le"}, b"")))
+    assert empty.shape == (0, 4)
+
+
+def _assert_one_error_line(capsys, path):
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: ") and str(path) in lines[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_POLICIES))
+def test_cli_run_with_bad_policy_exits_1(tmp_path, capsys, case):
+    path = _write(tmp_path / "policy.json", BAD_POLICIES[case])
+    rc = main(["run", "--ratio", "adaptive", "--policy-file", str(path), "--steps", "10",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    _assert_one_error_line(capsys, path)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BLOBS))
+def test_cli_compare_with_bad_blob_exits_1(tmp_path, capsys, case):
+    good = tmp_path / "good.bin"
+    blob.write_latent(good, np.zeros((4, 4), dtype=np.float32), 0, "h")
+    bad = _write(tmp_path / "latent.bin", BAD_BLOBS[case])
+    rc = main(["compare", "--a", str(good), "--b", str(bad)])
+    assert rc == 1
+    _assert_one_error_line(capsys, bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{path}", "--out-dir", "{out}"],
+    ["fit", "--curve", "{path}", "--out-dir", "{out}"],
+])
+def test_cli_non_utf8_config_and_curve_exit_1(tmp_path, capsys, argv):
+    path = _write(tmp_path / "input.txt", b"\xff\xfe\x00step,l1\n")
+    rc = main([a.format(path=path, out=tmp_path / "out") for a in argv])
+    assert rc == 1
+    _assert_one_error_line(capsys, path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sortblock import (
     ConfigError,
@@ -15,7 +17,7 @@ from sortblock import (
     standard_normal,
 )
 from sortblock.engine import PolicySequence
-from sortblock.trace import RunTrace, StepRecord, load_trace, save_trace
+from sortblock.trace import RunTrace, StepRecord, load_trace, save_trace, served_delta_stats
 
 
 def _delta_trace(per_step_deltas):
@@ -29,6 +31,45 @@ def _delta_trace(per_step_deltas):
     return RunTrace(steps=steps, heavy=True,
                     deltas=[[np.asarray(x, dtype=np.float32) for x in d] for d in per_step_deltas],
                     total_evals=sum(r.evals for r in steps))
+
+
+class TestServedDeltaStats:
+    """The per-step stats rule against the per-block formulas it replaced."""
+
+    @staticmethod
+    def _per_block(stack):
+        l1 = [float(np.mean(np.abs(d))) for d in stack]
+        l2 = [float(np.linalg.norm(d.astype(np.float64))) for d in stack]
+        return l1, l2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 16),
+        st.sampled_from([1, 7, 64, 4096, 5000, 9000]),
+        st.lists(st.integers(-30, 30), min_size=16, max_size=16),
+        st.lists(st.booleans(), min_size=16, max_size=16),
+    )
+    def test_bit_exact_against_per_block_formulas(self, seed, blocks, n, exponents, zero):
+        rng = np.random.default_rng(seed)
+        scales = np.array([0.0 if z else 10.0**e for z, e in zip(zero, exponents)])[:blocks]
+        stack = (rng.standard_normal((blocks, n)) * scales[:, None]).astype(np.float32)
+        expected = self._per_block(stack)
+        magnitudes = np.abs(stack)
+        assert served_delta_stats(stack) == expected
+        assert np.array_equal(stack, magnitudes)
+
+    def test_extreme_rows(self):
+        f32 = np.finfo(np.float32)
+        stack = np.array([
+            np.full(4096, f32.max),  # float32 row sum overflows to inf, as in np.mean
+            np.full(4096, f32.smallest_subnormal),
+            np.zeros(4096),
+            np.linspace(-1e30, 1e30, 4096),
+        ], dtype=np.float32)
+        with np.errstate(over="ignore"):
+            expected = self._per_block(stack)
+            assert served_delta_stats(stack) == expected
 
 
 class TestRecordBaseline:
