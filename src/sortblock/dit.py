@@ -25,7 +25,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numerics import Matrix, Rng, gelu, layer_norm, mix64, softmax_rows, standard_normal
+from .numerics import (
+    Matrix,
+    Rng,
+    gelu_into,
+    layer_norm_into,
+    mix64,
+    softmax_rows_into,
+    standard_normal,
+)
 
 LN_EPS = 1e-5
 
@@ -147,14 +155,49 @@ def _weights_for_config(cfg: DitConfig) -> tuple[BlockWeights, ...]:
     )
 
 
+class _BlockWorkspace:
+    """Every intermediate of one block eval, allocated once per Network.
+
+    float32: the conditioning row, ``x + c``, the normalized input of either
+    branch, q, k, v, the scores (softmaxed in place), the attention output,
+    the residual after attention and the MLP activation (GELU in place).
+    float64: the layer norms' work, square and row statistics, the softmax's
+    work, and GELU's input and work.
+    """
+
+    def __init__(self, cfg: DitConfig):
+        n, d, h = cfg.num_tokens, cfg.channels, cfg.mlp_ratio * cfg.channels
+        f32 = lambda *shape: np.empty(shape, dtype=np.float32)
+        f64 = lambda *shape: np.empty(shape, dtype=np.float64)
+        self.cond = f32(1, d)
+        self.xc = f32(n, d)
+        self.hn = f32(n, d)
+        self.q, self.k, self.v = f32(n, d), f32(n, d), f32(n, d)
+        self.scores = f32(n, n)
+        self.attn = f32(n, d)
+        self.a = f32(n, d)
+        self.act = f32(n, h)
+        self.ln_work, self.ln_square, self.row_stat = f64(n, d), f64(n, d), f64(n, 1)
+        self.softmax_work = f64(n, n)
+        self.gelu_x, self.gelu_work = f64(n, h), f64(n, h)
+
+
 class Network:
-    """Immutable weights plus a mutable block-evaluation counter."""
+    """Immutable weights plus a mutable block-evaluation counter.
+
+    A Network serves one caller at a time: every block eval writes its
+    intermediates into the Network's one workspace (``_BlockWorkspace``), so
+    two evals may not run on the same Network concurrently.  What an eval
+    returns never aliases the workspace.
+    """
 
     def __init__(self, cfg: DitConfig, blocks: tuple[BlockWeights, ...]):
         self.cfg = cfg
         self.blocks = blocks
         self.d_emb = cfg.channels
         self.eval_count = 0
+        self._ws = _BlockWorkspace(cfg)
+        self._score_scale = np.float32(1.0 / math.sqrt(cfg.channels))
 
     @property
     def num_blocks(self) -> int:
@@ -162,27 +205,41 @@ class Network:
 
     def block_forward(self, index: int, x: Matrix, t_emb: Matrix) -> BlockIO:
         """Evaluate one block: additive timestep conditioning, then pre-norm
-        single-head attention and a pre-norm GELU MLP, both residual."""
+        single-head attention and a pre-norm GELU MLP, both residual.
+
+        Every step writes into the workspace; the output and the delta are
+        the only arrays an eval allocates.
+        """
         cfg = self.cfg
         if x.shape != (cfg.num_tokens, cfg.channels):
             raise ShapeError(
                 f"block input shape {x.shape} != ({cfg.num_tokens}, {cfg.channels})"
             )
         w = self.blocks[index]
+        ws = self._ws
         self.eval_count += 1
 
         # conditioning enters through the attention branch's norm only; the
         # residual stream itself carries x plus the two branch outputs, added
         # in place (a = mm; a += x): float addition commutes, so the bits are
-        # those of x + mm without another temporary
-        hn = layer_norm(x + t_emb @ w.wt, LN_EPS)
-        q, k, v = hn @ w.wq, hn @ w.wk, hn @ w.wv
-        scores = q @ k.T
-        scores *= np.float32(1.0 / math.sqrt(cfg.channels))
-        a = (softmax_rows(scores) @ v) @ w.wo
-        a += x
-        out = gelu(layer_norm(a, LN_EPS) @ w.w1) @ w.w2
-        out += a
+        # those of x + mm
+        np.matmul(t_emb, w.wt, out=ws.cond)
+        np.add(x, ws.cond, out=ws.xc)
+        layer_norm_into(ws.xc, LN_EPS, ws.hn, ws.ln_work, ws.ln_square, ws.row_stat)
+        np.matmul(ws.hn, w.wq, out=ws.q)
+        np.matmul(ws.hn, w.wk, out=ws.k)
+        np.matmul(ws.hn, w.wv, out=ws.v)
+        np.matmul(ws.q, ws.k.T, out=ws.scores)
+        ws.scores *= self._score_scale
+        softmax_rows_into(ws.scores, ws.scores, ws.softmax_work, ws.row_stat)
+        np.matmul(ws.scores, ws.v, out=ws.attn)
+        np.matmul(ws.attn, w.wo, out=ws.a)
+        ws.a += x
+        layer_norm_into(ws.a, LN_EPS, ws.hn, ws.ln_work, ws.ln_square, ws.row_stat)
+        np.matmul(ws.hn, w.w1, out=ws.act)
+        gelu_into(ws.act, ws.act, ws.gelu_x, ws.gelu_work)
+        out = ws.act @ w.w2
+        out += ws.a
 
         return BlockIO(input=x, output=out, delta=out - x)
 

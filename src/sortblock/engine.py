@@ -54,10 +54,14 @@ def cosine_similarity(a: Matrix, b: Matrix) -> float:
     """
     if a.shape != b.shape:
         raise ShapeError(f"cosine_similarity: shapes differ ({a.shape} vs {b.shape})")
-    av = a.astype(np.float64).ravel()
-    bv = b.astype(np.float64).ravel()
-    na = float(np.linalg.norm(av))
-    nb = float(np.linalg.norm(bv))
+    return _cosine_float64(a.astype(np.float64).ravel(), b.astype(np.float64).ravel())
+
+
+def _cosine_float64(av: np.ndarray, bv: np.ndarray) -> float:
+    """``cosine_similarity`` of two float64 vectors.  The norms are
+    ``sqrt(v.dot(v))``, which is what ``np.linalg.norm`` computes."""
+    na = math.sqrt(av.dot(av))
+    nb = math.sqrt(bv.dot(bv))
     if na < _NORM_FLOOR or nb < _NORM_FLOOR:
         return ZERO_DELTA_SIMILARITY
     return float(np.clip(float(av @ bv) / (na * nb), -1.0, 1.0))
@@ -217,6 +221,8 @@ class SortblockEngine:
         self._preds: Optional[list[Matrix]] = None
         self._record: Optional[StepRecord] = None
         self._served: Optional[np.ndarray] = None  # this step's served deltas, one row per block
+        # the ranking sweep's float64 operands: a predicted delta and its reference
+        self._sweep64: Optional[np.ndarray] = None
 
     def begin_step(self, step_index: int, t: int) -> None:
         self._step = step_index
@@ -340,19 +346,31 @@ class SortblockEngine:
         partially corrected inputs.
         """
         rec = self._record
+        ranking = self.policy_override is None
+        if ranking:
+            if self._sweep64 is None:
+                self._sweep64 = np.empty((2, z.size), dtype=np.float64)
+            pred64, ref64 = self._sweep64
         preds: list[Matrix] = []
-        pred_deltas: list[Matrix] = []
+        scores: list[float] = []
         x = z
         for i in range(self.num_blocks):
             p, degenerate = self._predict(i)
             if degenerate:
                 rec.degenerate_predictions += 1
             preds.append(p)
-            pred_deltas.append(p - x)
+            if ranking:
+                ref = self.ref_deltas[i]
+                if ref is None:
+                    raise SortblockError("ranked step before any full step")
+                # the float32 delta p - x, cast to float64 as it is written
+                np.subtract(p, x, out=pred64.reshape(x.shape), dtype=np.float32)
+                ref64.reshape(ref.shape)[...] = ref
+                scores.append(_cosine_float64(pred64, ref64))
             x = p
         self._preds = preds
 
-        if self.policy_override is not None:
+        if not ranking:
             try:
                 flags = [int(f) for f in self.policy_override[self._step]]
             except KeyError:
@@ -363,12 +381,6 @@ class SortblockEngine:
                 raise ConfigError("policy override flag count != num_blocks")
             self.policy = PolicySequence(flags=flags, scores=None, created_at_step=self._step)
         else:
-            scores = []
-            for i in range(self.num_blocks):
-                ref = self.ref_deltas[i]
-                if ref is None:
-                    raise SortblockError("ranked step before any full step")
-                scores.append(cosine_similarity(pred_deltas[i], ref))
             rho = self.cfg.effective_rho(self._t)
             self.policy = select_blocks(scores, rho, created_at_step=self._step)
             rec.scores = list(self.policy.scores)

@@ -7,17 +7,19 @@ runs in float32; statistics and the polynomial normal equations run in float64
 to keep conditioning under control.
 
 The float64 kernels of the block forward (``layer_norm``, ``softmax_rows``,
-``gelu``) follow one rule: no float64 temporary of 128 KiB or more per block
-eval, work in place, same rounding.  Each works in place (``out=`` ufuncs) on
-one float64 buffer -- a copy of its input (which ``layer_norm`` also squares
-into a temporary for the variance), or, for ``gelu``, 64 KiB reused chunk by
-chunk -- and its rounding sequence is that of the plain formula in its
-docstring, operation for operation.  128 KiB, one 64x256 float64 MLP
-activation, is glibc's mmap and trim threshold: a chain of temporaries of that
-size made the allocator return pages to the kernel and fault them in again on
-every block eval, which cost more than the arithmetic.  A float32 operand
-casts to float64 exactly and scaling by a power of two is exact, so either may
-move without changing a bit; any other reordering of the arithmetic changes
+``gelu``) follow one rule: nothing of 128 KiB or more is allocated or freed
+per block eval or per run, and the rounding is that of the plain formula in
+each kernel's docstring, operation for operation.  Each kernel has one body,
+``*_into``, which works in place (``out=`` ufuncs and reductions) on float64
+buffers its caller passes: ``dit.Network`` passes buffers from its workspace,
+allocated once per Network, so a block eval allocates only its output and
+delta.  The single-argument forms, for standalone calls, allocate the
+buffers themselves.  128 KiB, one 64x256 float64 MLP activation, is glibc's
+mmap and trim threshold: a chain of temporaries of that size made the
+allocator return pages to the kernel and fault them in again on every block
+eval, which cost more than the arithmetic.  A float32 operand casts to
+float64 exactly and scaling by a power of two is exact, so either may move
+without changing a bit; any other reordering of the arithmetic changes
 latents.
 
 The generator (``Rng``) is xorshift64*, whose state step is linear over GF(2).
@@ -230,60 +232,89 @@ def layer_norm(x: Matrix, eps: float = 1e-5) -> Matrix:
     _require_2d("x", x)
     if eps < 0:
         raise ShapeError("layer_norm: eps must be non-negative")
-    mean = x.mean(axis=1, keepdims=True, dtype=np.float64)
-    work = x.astype(np.float64)
-    work -= mean
-    var = np.mean(work * work, axis=1, keepdims=True)
-    work /= np.sqrt(var + eps)
-    return work.astype(np.float32)
+    out = np.empty(x.shape, dtype=np.float32)
+    work, square = np.empty((2,) + x.shape, dtype=np.float64)
+    layer_norm_into(x, eps, out, work, square, np.empty((x.shape[0], 1), dtype=np.float64))
+    return out
+
+
+def layer_norm_into(
+    x: Matrix, eps: float, out: Matrix, work: np.ndarray, square: np.ndarray, stat: np.ndarray
+) -> None:
+    """``layer_norm`` written to ``out`` (float32, may be ``x``), with float64
+    buffers ``work`` and ``square`` of x's shape and ``stat`` of (rows, 1).
+
+    ``np.mean`` is ``add.reduce`` followed by ``true_divide`` by the count;
+    the calls below are those, so the bits are the same.
+    """
+    count = x.shape[1]
+    np.add.reduce(x, axis=1, dtype=np.float64, keepdims=True, out=stat)
+    stat /= count
+    work[...] = x
+    work -= stat
+    np.multiply(work, work, out=square)
+    np.add.reduce(square, axis=1, keepdims=True, out=stat)
+    stat /= count
+    stat += eps
+    np.sqrt(stat, out=stat)
+    work /= stat
+    out[...] = work
 
 
 def softmax_rows(x: Matrix) -> Matrix:
     """Row-wise softmax with max-subtraction for numerical stability:
     ``e = exp(x - max(x))``, then ``e / sum(e)``, in float64."""
     _require_2d("x", x)
-    work = x.astype(np.float64)
-    work -= work.max(axis=1, keepdims=True)
+    out = np.empty(x.shape, dtype=np.float32)
+    softmax_rows_into(
+        x, out, np.empty(x.shape, dtype=np.float64), np.empty((x.shape[0], 1), dtype=np.float64)
+    )
+    return out
+
+
+def softmax_rows_into(x: Matrix, out: Matrix, work: np.ndarray, stat: np.ndarray) -> None:
+    """``softmax_rows`` written to ``out`` (float32, may be ``x``), with a
+    float64 buffer ``work`` of x's shape and ``stat`` of (rows, 1)."""
+    work[...] = x
+    np.maximum.reduce(work, axis=1, keepdims=True, out=stat)
+    work -= stat
     np.exp(work, out=work)
-    work /= work.sum(axis=1, keepdims=True)
-    return work.astype(np.float32)
+    np.add.reduce(work, axis=1, keepdims=True, out=stat)
+    work /= stat
+    out[...] = work
 
 
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 
-# Elements per chunk in gelu.  Its float64 buffer holds two chunks, the input
-# and the work, 64 KiB together: a 64x256 MLP activation takes four chunks.
-_GELU_CHUNK = 4096
-
 
 def gelu(x: Matrix) -> Matrix:
     """Elementwise GELU, tanh approximation, in float64:
-    ``0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * ((x * x) * x))))``.
-
-    Evaluated chunk by chunk in one reused float64 buffer; the operation is
-    elementwise, so chunking does not change a bit.  Each chunk is cast to
-    float64 once, so the ufuncs below run without casting.
-    """
+    ``0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * ((x * x) * x))))``."""
     out = np.empty(np.shape(x), dtype=np.float32)
-    flat_x = np.reshape(x, -1)
-    flat_out = out.reshape(-1)
-    buf = np.empty((2, min(flat_x.size, _GELU_CHUNK)), dtype=np.float64)
-    for start in range(0, flat_x.size, _GELU_CHUNK):
-        stop = start + _GELU_CHUNK
-        chunk = flat_x[start:stop]
-        x64, w = buf[:, : chunk.size]
-        x64[...] = chunk
-        np.multiply(x64, x64, out=w)
-        w *= x64
-        w *= 0.044715
-        w += x64
-        w *= _GELU_SCALE
-        np.tanh(w, out=w)
-        w += 1.0
-        w *= x64
-        w *= 0.5  # a power of two, so applying it last rounds the same
-        flat_out[start:stop] = w
+    x64, work = np.empty((2,) + out.shape, dtype=np.float64)
+    gelu_into(x, out, x64, work)
     return out
+
+
+def gelu_into(x: Matrix, out: Matrix, x64: np.ndarray, work: np.ndarray) -> None:
+    """``gelu`` written to ``out`` (float32, may be ``x``), with float64
+    buffers ``x64`` and ``work`` of x's shape.
+
+    The input is cast to float64 once, so the ufuncs below run without
+    casting, in the formula's rounding sequence; the power-of-two ``0.5`` is
+    applied last, which rounds the same.
+    """
+    x64[...] = x
+    np.multiply(x64, x64, out=work)
+    work *= x64
+    work *= 0.044715
+    work += x64
+    work *= _GELU_SCALE
+    np.tanh(work, out=work)
+    work += 1.0
+    work *= x64
+    work *= 0.5
+    out[...] = work
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .diffusion import NoiseSchedule, SamplerRun, sample
-from .errors import ConfigError, MissingDataError, ResourceError
+from .errors import ConfigError, MissingDataError, ParseError, ResourceError
 from .metrics import kendall_tau
 from .numerics import Matrix
 
@@ -265,7 +265,7 @@ def load_trace(directory) -> RunTrace:
         deltas: dict[tuple[int, int], Matrix] = {}
         outputs: dict[int, Matrix] = {}
         for entry in sidecar:
-            arr = np.fromfile(directory / entry["file"], dtype="<f4").reshape(entry["shape"])
+            arr = _read_tensor(directory / entry["file"], entry["shape"])
             if entry["kind"] == "delta":
                 deltas[(entry["step"], entry["block"])] = arr
             else:
@@ -277,3 +277,17 @@ def load_trace(directory) -> RunTrace:
         if outputs:
             trace.outputs = [outputs[s] for s in range(max(outputs) + 1)]
     return trace
+
+
+def _read_tensor(path: Path, shape) -> Matrix:
+    """One raw little-endian float32 tensor file of a heavy trace; a missing,
+    unreadable or wrongly sized file raises ParseError naming it."""
+    try:
+        arr = np.fromfile(path, dtype="<f4")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read tensor file: {exc.strerror}") from exc
+    if arr.size != math.prod(shape):
+        raise ParseError(
+            f"{path}: holds {arr.size} float32 values, the sidecar gives shape {list(shape)}"
+        )
+    return arr.reshape(shape)

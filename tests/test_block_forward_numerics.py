@@ -1,6 +1,6 @@
-"""The block forward's float64 kernels run in place; they must still produce
-the bits of the plain formulas, and a warm cached run must not page-fault on
-every block eval.
+"""The block forward runs in place in its Network's workspace; it must still
+produce the bits of the plain formulas, allocate nothing but its output and
+delta, and a warm cached run must not page-fault on every block eval.
 
 The reference functions below are the plain, temporary-per-operation versions
 of ``layer_norm``, ``softmax_rows``, ``gelu`` and ``Network.block_forward``;
@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sortblock import gelu, layer_norm, softmax_rows, timestep_embedding
-from sortblock.dit import LN_EPS
+from sortblock import (
+    DitConfig,
+    Network,
+    SortblockConfig,
+    gelu,
+    init_network,
+    layer_norm,
+    run_sortblock,
+    sample,
+    softmax_rows,
+    timestep_embedding,
+)
+from sortblock.dit import LN_EPS, BlockIO
 
 
 def reference_layer_norm(x, eps=1e-5):
@@ -50,6 +62,13 @@ def reference_block_forward(net, index, x, t_emb):
     a = x + (reference_softmax_rows(scores) @ v) @ w.wo
     an = reference_layer_norm(a, LN_EPS)
     return a + reference_gelu(an @ w.w1) @ w.w2
+
+
+def reference_block_io(net, index, x, t_emb):
+    """A drop-in ``Network.block_forward`` built on the reference block."""
+    net.eval_count += 1
+    out = reference_block_forward(net, index, x, t_emb)
+    return BlockIO(input=x, output=out, delta=out - x)
 
 
 def assert_same_bits(got, want):
@@ -130,6 +149,74 @@ class TestBlockForwardMatchesReference:
         assert io.input is x
 
 
+def _inputs(count, seed=11):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((64, 64)).astype(np.float32) for _ in range(count)]
+
+
+class TestWorkspace:
+    # Python objects made per eval (BlockIO, array headers, views), about
+    # 1 KiB; kernels with per-call float64 temporaries peak about 260 KiB
+    # above the output and delta
+    ALLOCATION_SLACK_BYTES = 4096
+
+    def test_block_forward_allocates_only_output_and_delta(self, default_net):
+        x = _inputs(1)[0]
+        t_emb = timestep_embedding(500, default_net.d_emb)
+        for _ in range(3):
+            default_net.block_forward(5, x, t_emb)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            io = default_net.block_forward(5, x, t_emb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        escaping = io.output.nbytes + io.delta.nbytes
+        assert peak - before <= escaping + self.ALLOCATION_SLACK_BYTES
+
+    def test_interleaved_blocks_and_networks_do_not_alias(self):
+        """Outputs of earlier evals survive later evals of other blocks, of a
+        second Network sharing the same weights and of a Network of another
+        config; every eval still matches the reference."""
+        nets = [init_network(DitConfig()), init_network(DitConfig()), init_network(DitConfig(seed=3))]
+        t_emb = timestep_embedding(250, nets[0].d_emb)
+        kept = []
+        for i, x in enumerate(_inputs(12)):
+            net = nets[i % len(nets)]
+            index = (5 * i) % net.num_blocks
+            io = net.block_forward(index, x, t_emb)
+            want = reference_block_forward(net, index, x, t_emb)
+            assert_same_bits(io.output, want)
+            kept.append((io, io.output.copy(), io.delta.copy()))
+        for io, output, delta in kept:
+            assert_same_bits(io.output, output)
+            assert_same_bits(io.delta, delta)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_whole_runs_match_reference_block(monkeypatch, default_sched, default_run_factory, default_window, seed):
+    """``sample`` and ``run_sortblock`` at the README default preset give the
+    latents and traces (minus wall time) of the reference block."""
+    run = default_run_factory(seed)
+    cfg = SortblockConfig(refresh_interval=5, rho=0.3, window=default_window)
+
+    def whole_run():
+        net = init_network(DitConfig())
+        plain = sample(net, run, default_sched)
+        cached, trace = run_sortblock(net, run, default_sched, cfg)
+        doc = trace.to_dict()
+        del doc["wall_time_s"]
+        return plain, cached, doc
+
+    plain, cached, doc = whole_run()
+    monkeypatch.setattr(Network, "block_forward", reference_block_io)
+    want_plain, want_cached, want_doc = whole_run()
+    assert_same_bits(plain, want_plain)
+    assert_same_bits(cached, want_cached)
+    assert doc == want_doc
+
+
 # A warm cached latent at the README default preset; each iteration's page
 # faults are read from the kernel's counter for this process.
 _FAULT_PROBE = """
@@ -151,9 +238,11 @@ print((after - before) / latents)
 """
 
 # With one BLAS thread, as the benchmark runs, on a 2-vCPU x86-64 VM (glibc
-# 2.36, OpenBLAS 0.3.31): 740-800 per latent over seeds 0-3; the 128 KiB
-# float64 temporaries the kernels used to make cost 22,000-36,000.  Exact
-# counts depend on the allocator's heap history.
+# 2.36, OpenBLAS 0.3.31), per latent over seeds 0-3: 220-230 with the
+# workspace-resident block forward and the engine's sweep buffers, 740-800
+# with per-call float64 kernel buffers, 22,000-36,000 with the 128 KiB float64
+# temporaries the kernels used to make.  Exact counts depend on the
+# allocator's heap history.
 MAX_MINOR_FAULTS_PER_LATENT = 2000
 
 

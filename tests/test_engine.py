@@ -28,7 +28,12 @@ from sortblock import (
     select_blocks,
     standard_normal,
 )
+from sortblock.dit import BlockIO
 from sortblock.engine import ZERO_DELTA_SIMILARITY
+
+
+def _bits(scores):
+    return np.asarray(scores, dtype=np.float64).view(np.uint64).tolist()
 
 
 def _vec(*values):
@@ -172,6 +177,63 @@ class TestLifecyclePhases:
                 assert sum(rec.flags) == recompute_quota(0.3, 12)
             else:
                 assert rec.scores is None
+
+    @pytest.mark.parametrize("seed, K, rho", [(0, 5, 0.3), (1, 5, 0.3), (7, 9, 0.25)])
+    def test_sweep_scores_are_cosine_similarity_bits(
+        self, default_net, default_sched, default_run_factory, monkeypatch, seed, K, rho
+    ):
+        """The ranking sweep scores in its own float64 buffers; every score is
+        still ``cosine_similarity`` of the predicted delta and the reference."""
+        run = default_run_factory(seed)
+        cfg = SortblockConfig(refresh_interval=K, rho=rho, window=inner_window(run.step_list, 0.8))
+        sweep = SortblockEngine._rank_and_select
+        checked = []
+
+        def rank_and_check(engine, z):
+            want, x = [], z
+            for i in range(engine.num_blocks):
+                p, _ = engine._predict(i)
+                want.append(cosine_similarity(p - x, engine.ref_deltas[i]))
+                x = p
+            sweep(engine, z)
+            checked.append((engine._record.scores, want))
+
+        monkeypatch.setattr(SortblockEngine, "_rank_and_select", rank_and_check)
+        run_sortblock(default_net, run, default_sched, cfg)
+        assert checked
+        for got, want in checked:
+            assert _bits(got) == _bits(want)
+
+    def test_sweep_scores_on_non_finite_and_degenerate_deltas(self):
+        """inf and NaN deltas, a zero delta, deltas below the norm floor and
+        near the float32 maximum score exactly as ``cosine_similarity`` does."""
+        rng = np.random.default_rng(5)
+        outputs = [rng.standard_normal((4, 4)).astype(np.float32) for _ in range(6)]
+        outputs[1][0, 0] = np.inf
+        outputs[2][1, 2] = np.nan
+        outputs[4] *= np.float32(1e-44)
+        outputs[5] *= np.float32(3e37)
+        engine = SortblockEngine(SortblockConfig(refresh_interval=5, rho=0.5, window=(900, 100)), 6)
+
+        def serve(step, t, z):
+            engine.begin_step(step, t)
+            x = z
+            for i, out in enumerate(outputs):
+                out = outputs[i - 1] if i == 3 else out  # block 3: zero delta
+                x = engine(i, x, lambda x=x, out=out: BlockIO(input=x, output=out, delta=out - x))
+            return x
+
+        z = rng.standard_normal((4, 4)).astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            serve(0, 900, z)
+            serve(1, 880, z)
+            want, x = [], z
+            for i in range(6):
+                p = engine.entries[i].value
+                want.append(cosine_similarity(p - x, engine.ref_deltas[i]))
+                x = p
+        assert any(math.isnan(v) for v in want) and ZERO_DELTA_SIMILARITY in want
+        assert _bits(engine.trace.steps[-1].scores) == _bits(want)
 
     def test_full_and_outside_steps_compute_everything(
         self, default_net, default_sched, default_run_factory, default_window

@@ -1,6 +1,8 @@
 """Malformed input files.  Policy and latent blob files raise ParseError
 naming the path, through the library and through the CLI (exit 1, one
-``error:`` line); config files and curve CSVs that are not UTF-8 exit 1 too."""
+``error:`` line); config files and curve CSVs that are not UTF-8 exit 1 too.
+A heavy trace with a missing or truncated tensor file raises ParseError
+naming that file."""
 
 import json
 import struct
@@ -8,8 +10,19 @@ import struct
 import numpy as np
 import pytest
 
-from sortblock import ParseError, blob, load_policy
+from sortblock import (
+    DitConfig,
+    ParseError,
+    SamplerRun,
+    blob,
+    init_network,
+    load_policy,
+    make_run,
+    make_schedule,
+    record_baseline,
+)
 from sortblock.cli import main
+from sortblock.trace import load_trace, save_trace
 
 GOOD_POLICY = {"degree": 3, "coefficients": [0.1, 0.2, 0.0, 0.3], "beta": 1.0, "t_min": 0.0, "t_max": 900.0}
 
@@ -130,3 +143,23 @@ def test_cli_non_utf8_config_and_curve_exit_1(tmp_path, capsys, argv):
     rc = main([a.format(path=path, out=tmp_path / "out") for a in argv])
     assert rc == 1
     _assert_one_error_line(capsys, path)
+
+
+@pytest.fixture(scope="module")
+def heavy_trace():
+    sched = make_schedule(1000)
+    run = make_run(sched, 50, 0, (64, 64))
+    short = SamplerRun(step_list=run.step_list[:3], z_init=run.z_init, seed=0)
+    return record_baseline(init_network(DitConfig()), short, sched, heavy=True)
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "empty"])
+def test_load_trace_broken_tensor_file_raises_parse_error(tmp_path, heavy_trace, damage):
+    save_trace(heavy_trace, tmp_path)
+    path = tmp_path / "delta_s0001_b005.f32"
+    if damage == "missing":
+        path.unlink()
+    else:
+        path.write_bytes(path.read_bytes()[: 100 if damage == "truncated" else 0])
+    with pytest.raises(ParseError, match="delta_s0001_b005.f32"):
+        load_trace(tmp_path)
