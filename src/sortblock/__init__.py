@@ -35,6 +35,7 @@ from .errors import (
     ConfigError,
     FitError,
     MissingDataError,
+    NonFiniteError,
     ParseError,
     ResourceError,
     ShapeError,

@@ -28,7 +28,7 @@ from . import blob
 from .diffusion import NoiseSchedule, make_run, make_schedule, uniform_step_list
 from .dit import DitConfig, init_network
 from .engine import PolicySequence, SortblockConfig, inner_window, run_sortblock
-from .errors import ConfigError, ParseError, SortblockError
+from .errors import ConfigError, NonFiniteError, ParseError, SortblockError
 from .metrics import latent_pair_to_images, psnr, relative_l2, ssim
 from .ratio import (
     DEFAULT_DEGREE,
@@ -561,7 +561,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.axis, args.values)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ParseError, FileNotFoundError) as exc:
+    except (ConfigError, NonFiniteError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SortblockError, OSError) as exc:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 from .numerics import Matrix, Rng, standard_normal
 
 
@@ -130,7 +130,9 @@ def sample(net, run: SamplerRun, sched: NoiseSchedule, hooks=None) -> Matrix:
     """Full reverse pass: one network forward + one DDIM step per list entry.
 
     Deterministic whenever every visited sigma_t is zero; the noise generator
-    is only instantiated (and advanced) for stochastic steps.
+    is only instantiated (and advanced) for stochastic steps.  A step whose
+    latent holds inf or NaN raises ``NonFiniteError`` naming the step index
+    and timestep, so a diverged run stops where it diverged.
     """
     from .dit import network_forward
 
@@ -149,4 +151,8 @@ def sample(net, run: SamplerRun, sched: NoiseSchedule, hooks=None) -> Matrix:
                 noise_rng = Rng(run.seed ^ 0xD1FF0_5EED)
             noise = standard_normal(noise_rng, z.shape[0], z.shape[1])
         z = ddim_step(z, eps, t, t_prev, sched, noise)
+        if not np.isfinite(z).all():
+            raise NonFiniteError(
+                f"the latent is not finite after step {idx} (timestep {t} -> {t_prev})"
+            )
     return z

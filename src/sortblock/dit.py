@@ -159,10 +159,10 @@ class _BlockWorkspace:
     """Every intermediate of one block eval, allocated once per Network.
 
     float32: the conditioning row, ``x + c``, the normalized input of either
-    branch, q, k, v, the scores (softmaxed in place), the attention output,
-    the residual after attention and the MLP activation (GELU in place).
-    float64: the layer norms' work, square and row statistics, the softmax's
-    work, and GELU's input and work.
+    branch, q, k, v, the scores (softmaxed in place, with a float32 row
+    statistic), the attention output, the residual after attention, the MLP
+    activation (GELU in place) and GELU's work.  float64: the layer norms'
+    work, square and row statistics.
     """
 
     def __init__(self, cfg: DitConfig):
@@ -176,10 +176,9 @@ class _BlockWorkspace:
         self.scores = f32(n, n)
         self.attn = f32(n, d)
         self.a = f32(n, d)
-        self.act = f32(n, h)
+        self.act, self.gelu_work = f32(n, h), f32(n, h)
+        self.softmax_stat = f32(n, 1)
         self.ln_work, self.ln_square, self.row_stat = f64(n, d), f64(n, d), f64(n, 1)
-        self.softmax_work = f64(n, n)
-        self.gelu_x, self.gelu_work = f64(n, h), f64(n, h)
 
 
 class Network:
@@ -231,13 +230,13 @@ class Network:
         np.matmul(ws.hn, w.wv, out=ws.v)
         np.matmul(ws.q, ws.k.T, out=ws.scores)
         ws.scores *= self._score_scale
-        softmax_rows_into(ws.scores, ws.scores, ws.softmax_work, ws.row_stat)
+        softmax_rows_into(ws.scores, ws.scores, ws.softmax_stat)
         np.matmul(ws.scores, ws.v, out=ws.attn)
         np.matmul(ws.attn, w.wo, out=ws.a)
         ws.a += x
         layer_norm_into(ws.a, LN_EPS, ws.hn, ws.ln_work, ws.ln_square, ws.row_stat)
         np.matmul(ws.hn, w.w1, out=ws.act)
-        gelu_into(ws.act, ws.act, ws.gelu_x, ws.gelu_work)
+        gelu_into(ws.act, ws.act, ws.gelu_work)
         out = ws.act @ w.w2
         out += ws.a
 

@@ -21,6 +21,10 @@ class MissingDataError(SortblockError):
     """A trace or file lacks the data a consumer requires (e.g. light-mode trace)."""
 
 
+class NonFiniteError(SortblockError):
+    """A sampling step produced a latent holding inf or NaN."""
+
+
 class ResourceError(SortblockError):
     """An operation would exceed its memory budget."""
 

@@ -2,25 +2,31 @@
 polynomial least squares.
 
 Matrices are plain 2-D C-contiguous ``numpy.float32`` arrays (row-major), which
-is exactly the storage contract the rest of the package assumes.  Feature math
-runs in float32; statistics and the polynomial normal equations run in float64
-to keep conditioning under control.
+is exactly the storage contract the rest of the package assumes.
 
-The float64 kernels of the block forward (``layer_norm``, ``softmax_rows``,
-``gelu``) follow one rule: nothing of 128 KiB or more is allocated or freed
-per block eval or per run, and the rounding is that of the plain formula in
-each kernel's docstring, operation for operation.  Each kernel has one body,
-``*_into``, which works in place (``out=`` ufuncs and reductions) on float64
-buffers its caller passes: ``dit.Network`` passes buffers from its workspace,
-allocated once per Network, so a block eval allocates only its output and
-delta.  The single-argument forms, for standalone calls, allocate the
-buffers themselves.  128 KiB, one 64x256 float64 MLP activation, is glibc's
-mmap and trim threshold: a chain of temporaries of that size made the
-allocator return pages to the kernel and fault them in again on every block
-eval, which cost more than the arithmetic.  A float32 operand casts to
-float64 exactly and scaling by a power of two is exact, so either may move
-without changing a bit; any other reordering of the arithmetic changes
-latents.
+Precision rule: features run in float32, and so do the block forward's GELU
+and attention softmax (``gelu``, ``softmax_rows``).  Statistics run in
+float64: layer norm's row mean and variance (a float32 row sum of 64 values
+overflows at |x| ~ 5e36, and a float32 square at |x - mean| ~ 1.8e19, so a
+finite input would give NaN), and the polynomial normal equations, to keep
+conditioning under control.  Where a float32 kernel overflows on purpose (the
+GELU cube, a softmax difference below the float32 range), the limit it
+reaches is the right answer and the overflow is silenced.
+
+The block forward's kernels (``layer_norm``, ``softmax_rows``, ``gelu``) each
+have one body, ``*_into``, which works in place (``out=`` ufuncs and
+reductions) on buffers its caller passes: ``dit.Network`` passes buffers from
+its workspace, allocated once per Network, so a block eval allocates only its
+output and delta.  The single-argument forms, for standalone calls, allocate
+the buffers themselves.  The rounding is that of the plain formula in each
+kernel's docstring, operation for operation; any reordering of the
+arithmetic changes latents, except that a float32 operand casts to float64
+exactly and scaling by a power of two is exact.  Layer norm's float64
+buffers follow one more rule: nothing of 128 KiB or more is allocated or
+freed per block eval or per run.  128 KiB is glibc's mmap and trim
+threshold: a chain of float64 temporaries of that size (one 64x256
+activation) made the allocator return pages to the kernel and fault them in
+again on every block eval, which cost more than the arithmetic.
 
 The generator (``Rng``) is xorshift64*, whose state step is linear over GF(2).
 ``Rng.fill_u64`` uses that to jump lanes ahead and draw 16 values per lane in
@@ -262,59 +268,62 @@ def layer_norm_into(
 
 
 def softmax_rows(x: Matrix) -> Matrix:
-    """Row-wise softmax with max-subtraction for numerical stability:
-    ``e = exp(x - max(x))``, then ``e / sum(e)``, in float64."""
+    """Row-wise softmax with max-subtraction for numerical stability, in
+    float32: ``e = exp(x - max(x))``, then ``e / sum(e)``."""
     _require_2d("x", x)
     out = np.empty(x.shape, dtype=np.float32)
-    softmax_rows_into(
-        x, out, np.empty(x.shape, dtype=np.float64), np.empty((x.shape[0], 1), dtype=np.float64)
-    )
+    softmax_rows_into(x, out, np.empty((x.shape[0], 1), dtype=np.float32))
     return out
 
 
-def softmax_rows_into(x: Matrix, out: Matrix, work: np.ndarray, stat: np.ndarray) -> None:
+def softmax_rows_into(x: Matrix, out: Matrix, stat: np.ndarray) -> None:
     """``softmax_rows`` written to ``out`` (float32, may be ``x``), with a
-    float64 buffer ``work`` of x's shape and ``stat`` of (rows, 1)."""
-    work[...] = x
-    np.maximum.reduce(work, axis=1, keepdims=True, out=stat)
-    work -= stat
-    np.exp(work, out=work)
-    np.add.reduce(work, axis=1, keepdims=True, out=stat)
-    work /= stat
-    out[...] = work
+    float32 row statistic ``stat`` of (rows, 1).
+
+    ``x - max`` overflows to -inf only where the float64 difference is below
+    the float32 range, and exp of it is 0 either way, so the overflow is
+    silenced.
+    """
+    np.maximum.reduce(x, axis=1, keepdims=True, out=stat)
+    with np.errstate(over="ignore"):
+        np.subtract(x, stat, out=out)
+    np.exp(out, out=out)
+    np.add.reduce(out, axis=1, keepdims=True, out=stat)
+    out /= stat
 
 
-_GELU_SCALE = math.sqrt(2.0 / math.pi)
+_GELU_C1 = np.float32(math.sqrt(2.0 / math.pi))
+_GELU_C2 = np.float32(0.044715)
 
 
 def gelu(x: Matrix) -> Matrix:
-    """Elementwise GELU, tanh approximation, in float64:
-    ``0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * ((x * x) * x))))``."""
+    """Elementwise GELU, tanh approximation, in float32, with the constants
+    rounded to float32: ``h = 0.5 * x``, then
+    ``h * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * ((x * x) * x))))``."""
     out = np.empty(np.shape(x), dtype=np.float32)
-    x64, work = np.empty((2,) + out.shape, dtype=np.float64)
-    gelu_into(x, out, x64, work)
+    gelu_into(x, out, np.empty_like(out))
     return out
 
 
-def gelu_into(x: Matrix, out: Matrix, x64: np.ndarray, work: np.ndarray) -> None:
-    """``gelu`` written to ``out`` (float32, may be ``x``), with float64
-    buffers ``x64`` and ``work`` of x's shape.
+def gelu_into(x: Matrix, out: Matrix, work: Matrix) -> None:
+    """``gelu`` written to ``out`` (float32, may be ``x``), with a float32
+    buffer ``work`` of x's shape.
 
-    The input is cast to float64 once, so the ufuncs below run without
-    casting, in the formula's rounding sequence; the power-of-two ``0.5`` is
-    applied last, which rounds the same.
+    ``0.5 * x`` is formed first, so ``(1 + tanh) * x`` cannot overflow near
+    the float32 maximum.  The cube overflows to +-inf for |x| above about
+    7e12; tanh then gives +-1 and the result is x or -0, the limits of GELU,
+    so the overflow is silenced.
     """
-    x64[...] = x
-    np.multiply(x64, x64, out=work)
-    work *= x64
-    work *= 0.044715
-    work += x64
-    work *= _GELU_SCALE
+    with np.errstate(over="ignore"):
+        np.multiply(x, x, out=work)
+        work *= x
+        work *= _GELU_C2
+    work += x
+    work *= _GELU_C1
     np.tanh(work, out=work)
     work += 1.0
-    work *= x64
-    work *= 0.5
-    out[...] = work
+    np.multiply(x, 0.5, out=out)
+    out *= work
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -250,10 +251,15 @@ def save_trace(trace: RunTrace, directory) -> None:
 
 
 def load_trace(directory) -> RunTrace:
+    """Read a trace written by ``save_trace``.  A ``trace.json`` or
+    ``tensors.json`` that is not JSON, is truncated, or lacks a field or has
+    one of the wrong type, and a missing or wrongly sized tensor file, raise
+    ``ParseError`` naming the file."""
     directory = Path(directory)
-    doc = json.loads((directory / "trace.json").read_text())
+    path = directory / "trace.json"
+    doc = _checked(path, _read_json(path), _TRACE_FIELDS)
     trace = RunTrace(
-        steps=[StepRecord(**r) for r in doc["steps"]],
+        steps=[_step_record(path, r) for r in doc["steps"]],
         total_evals=doc["total_evals"],
         wall_time_s=doc["wall_time_s"],
         config=doc["config"],
@@ -261,22 +267,81 @@ def load_trace(directory) -> RunTrace:
     )
     sidecar_path = directory / "tensors.json"
     if sidecar_path.exists():
-        sidecar = json.loads(sidecar_path.read_text())
+        sidecar = _read_json(sidecar_path)
+        if not isinstance(sidecar, list):
+            raise ParseError(f"{sidecar_path}: expected a JSON array")
         deltas: dict[tuple[int, int], Matrix] = {}
         outputs: dict[int, Matrix] = {}
         for entry in sidecar:
-            arr = _read_tensor(directory / entry["file"], entry["shape"])
-            if entry["kind"] == "delta":
-                deltas[(entry["step"], entry["block"])] = arr
+            kind = entry.get("kind") if type(entry) is dict else None
+            entry = _checked(sidecar_path, entry, _DELTA_FIELDS if kind == "delta" else _TENSOR_FIELDS)
+            name, shape, step = entry["file"], entry["shape"], entry["step"]
+            if "/" in name or os.sep in name:
+                raise ParseError(f"{sidecar_path}: tensor file {name!r} is not a plain file name")
+            if kind not in ("delta", "output"):
+                raise ParseError(f"{sidecar_path}: unknown tensor kind {kind!r}")
+            if min(shape, default=0) < 0:
+                raise ParseError(f"{sidecar_path}: negative dimension in shape {shape}")
+            arr = _read_tensor(directory / name, shape)
+            if kind == "delta":
+                deltas[(step, entry["block"])] = arr
             else:
-                outputs[entry["step"]] = arr
-        if deltas:
-            n_steps = max(s for s, _ in deltas) + 1
-            n_blocks = max(b for _, b in deltas) + 1
-            trace.deltas = [[deltas[(s, b)] for b in range(n_blocks)] for s in range(n_steps)]
-        if outputs:
-            trace.outputs = [outputs[s] for s in range(max(outputs) + 1)]
+                outputs[step] = arr
+        try:
+            if deltas:
+                n_steps = max(s for s, _ in deltas) + 1
+                n_blocks = max(b for _, b in deltas) + 1
+                trace.deltas = [[deltas[(s, b)] for b in range(n_blocks)] for s in range(n_steps)]
+            if outputs:
+                trace.outputs = [outputs[s] for s in range(max(outputs) + 1)]
+        except KeyError as exc:
+            raise ParseError(f"{sidecar_path}: lists no tensor for step/block {exc.args[0]}") from None
     return trace
+
+
+# the fields load_trace reads, with their JSON types (exact: bool is not a
+# number here), and the item types of the list fields
+_NUMBER = (int, float)
+_TRACE_FIELDS = {"steps": (list,), "total_evals": (int,), "wall_time_s": _NUMBER, "config": (dict,),
+                 "heavy": (bool,)}
+_STEP_FIELDS = {"step": (int,), "timestep": (int,), "phase": (str,), "flags": (list,),
+                "scores": (list, type(None)), "delta_l1": (list,), "delta_l2": (list,),
+                "evals": (int,), "eval_total": (int,), "degenerate_predictions": (int,)}
+_TENSOR_FIELDS = {"file": (str,), "shape": (list,), "kind": (str,), "step": (int,)}
+_DELTA_FIELDS = {**_TENSOR_FIELDS, "block": (int,)}
+_LIST_ITEMS = {"flags": (int,), "scores": _NUMBER, "delta_l1": _NUMBER, "delta_l2": _NUMBER,
+               "shape": (int,)}
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _checked(path: Path, doc, fields: dict) -> dict:
+    """``doc``, which must be a JSON object with every key of ``fields``, each
+    value of its type; otherwise ParseError naming ``path``."""
+    if type(doc) is not dict:
+        raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    for key, types in fields.items():
+        if key not in doc:
+            raise ParseError(f"{path}: missing field {key!r}")
+        value = doc[key]
+        if type(value) not in types or (
+            type(value) is list and key in _LIST_ITEMS
+            and not all(type(v) in _LIST_ITEMS[key] for v in value)
+        ):
+            raise ParseError(f"{path}: field {key!r} has the wrong type")
+    return doc
+
+
+def _step_record(path: Path, r) -> StepRecord:
+    if type(r) is dict:
+        r.setdefault("degenerate_predictions", 0)  # StepRecord's default
+    r = _checked(path, r, _STEP_FIELDS)
+    return StepRecord(**{key: r[key] for key in _STEP_FIELDS})
 
 
 def _read_tensor(path: Path, shape) -> Matrix:

@@ -3,8 +3,11 @@ produce the bits of the plain formulas, allocate nothing but its output and
 delta, and a warm cached run must not page-fault on every block eval.
 
 The reference functions below are the plain, temporary-per-operation versions
-of ``layer_norm``, ``softmax_rows``, ``gelu`` and ``Network.block_forward``;
-they are the definition the in-place code is held to, bit for bit.
+of ``layer_norm`` (float64), ``softmax_rows`` and ``gelu`` (float32) and
+``Network.block_forward``; they are the definition the in-place code is held
+to, bit for bit.  The float64 formulas of softmax and GELU stay as accuracy
+oracles for the float32 kernels.  Every test here runs with RuntimeWarning as
+an error, so an overflow the kernels do not expect fails it.
 """
 
 import math
@@ -33,6 +36,13 @@ from sortblock import (
 )
 from sortblock.dit import LN_EPS, BlockIO
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+EPS32 = float(np.finfo(np.float32).eps)
+TINY32 = float(np.finfo(np.float32).tiny)
+GELU_C1 = np.float32(math.sqrt(2.0 / math.pi))
+GELU_C2 = np.float32(0.044715)
+
 
 def reference_layer_norm(x, eps=1e-5):
     mean = x.mean(axis=1, keepdims=True, dtype=np.float64)
@@ -42,16 +52,31 @@ def reference_layer_norm(x, eps=1e-5):
 
 
 def reference_softmax_rows(x):
-    x64 = x.astype(np.float64)
-    x64 -= x64.max(axis=1, keepdims=True)
-    e = np.exp(x64)
-    return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+    with np.errstate(over="ignore"):  # x - max below the float32 range is -inf; exp gives 0
+        e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def reference_gelu(x):
+    h = np.float32(0.5) * x
+    with np.errstate(over="ignore"):  # the cube is +-inf above |x| ~ 7e12; tanh gives +-1
+        cube = (x * x) * x
+    return h * (1 + np.tanh(GELU_C1 * (x + GELU_C2 * cube)))
+
+
+def softmax64(x):
+    """The float64 formula, unrounded: the accuracy oracle of softmax_rows."""
+    x64 = x.astype(np.float64)
+    e = np.exp(x64 - x64.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def gelu64(x):
+    """The float64 formula with float64 constants, unrounded: the accuracy
+    oracle of gelu."""
     x64 = x.astype(np.float64)
     inner = math.sqrt(2.0 / math.pi) * (x64 + 0.044715 * (x64 * x64 * x64))
-    return (0.5 * x64 * (1.0 + np.tanh(inner))).astype(np.float32)
+    return 0.5 * x64 * (1.0 + np.tanh(inner))
 
 
 def reference_block_forward(net, index, x, t_emb):
@@ -134,6 +159,44 @@ class TestKernelsMatchReference:
         layer_norm(x)
         softmax_rows(x)
         assert np.array_equal(x, before)
+
+
+class TestKernelsAgainstFloat64:
+    """The float32 kernels against the float64 formulas: bounded error, and
+    no non-finite output for a finite input."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(float32_matrices())
+    def test_gelu(self, x):
+        got = gelu(x)
+        assert np.isfinite(got).all()
+        err = np.abs(got.astype(np.float64) - gelu64(x))
+        assert (err <= 4 * EPS32 * np.maximum(np.abs(x.astype(np.float64)), TINY32)).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(float32_matrices())
+    def test_softmax_rows(self, x):
+        got = softmax_rows(x)
+        assert np.isfinite(got).all()
+        assert np.abs(got.astype(np.float64) - softmax64(x)).max() <= 8 * EPS32
+
+    def test_softmax_rows_spanning_the_float32_range(self):
+        """x - max falls below the float32 range and overflows to -inf; its
+        exp is 0, as in float64."""
+        x = np.zeros((64, 64), dtype=np.float32)
+        x[:, 0], x[:, 1] = -3.4028235e38, 3.4028235e38
+        x[7, 2] = 3.4028235e38
+        got = softmax_rows(x)
+        assert_same_bits(got, reference_softmax_rows(x))
+        assert np.array_equal(got, softmax64(x).astype(np.float32))
+        assert got[7, 1] == got[7, 2] == 0.5 and got[0, 1] == 1.0
+
+    @pytest.mark.parametrize("value", [1e13, 3.4028235e38])
+    def test_gelu_limits_of_extreme_constant_matrices(self, value):
+        """Where the cube overflows, GELU is x above zero and -0 below."""
+        x = np.full((64, 256), value, dtype=np.float32)
+        assert_same_bits(gelu(x), x)
+        assert_same_bits(gelu(-x), np.full_like(x, -0.0))
 
 
 class TestBlockForwardMatchesReference:

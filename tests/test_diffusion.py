@@ -6,16 +6,22 @@ import pytest
 from sortblock import (
     ConfigError,
     NoiseSchedule,
+    NonFiniteError,
     Rng,
     SamplerRun,
+    SortblockConfig,
+    SortblockError,
     ddim_step,
     forward_noise,
     make_run,
     make_schedule,
+    run_sortblock,
     sample,
     standard_normal,
     uniform_step_list,
 )
+from sortblock import cli
+from sortblock.dit import BlockIO
 
 
 def _synthetic_schedule(alphas_bar, sigmas=None):
@@ -208,3 +214,70 @@ class TestStepList:
         b = make_run(default_sched, 50, 9, (64, 64))
         assert np.array_equal(a.z_init, b.z_init)
         assert a.step_list == b.step_list
+
+
+class DivergingNetwork:
+    """Synthetic network whose blocks all output zeros, except that the last
+    block writes ``value`` into one entry at timestep ``bad_t``."""
+
+    def __init__(self, bad_t, value=np.inf, num_blocks=12):
+        self.bad_t = bad_t
+        self.value = value
+        self.num_blocks = num_blocks
+        self.eval_count = 0
+
+    def _compute(self, i, x, t):
+        self.eval_count += 1
+        out = np.zeros_like(x)
+        if i == self.num_blocks - 1 and t == self.bad_t:
+            out[0, 0] = self.value
+        return BlockIO(input=x, output=out, delta=out - x)
+
+    def forward(self, z, t, hook=None):
+        x = z
+        for i in range(self.num_blocks):
+            compute = lambda i=i, x=x: self._compute(i, x, t)
+            x = compute().output if hook is None else hook(i, x, compute)
+        return x
+
+
+class TestNonFiniteLatent:
+    """A step whose latent holds inf or NaN raises NonFiniteError naming the
+    step index and timestep, at that step; a raise, so it holds under -O."""
+
+    @pytest.mark.parametrize("k, value", [(0, np.inf), (7, -np.inf), (49, np.nan)])
+    def test_sample_stops_at_the_diverging_step(self, default_sched, default_run_factory, k, value):
+        run = default_run_factory(0)
+        t = run.step_list[k]
+        net = DivergingNetwork(t, value)
+        with pytest.raises(NonFiniteError, match=rf"step {k} \(timestep {t} -> ") as info:
+            sample(net, run, default_sched)
+        assert isinstance(info.value, SortblockError)
+        assert net.eval_count == (k + 1) * net.num_blocks
+
+    def test_finite_run_is_unchanged(self, default_sched, default_run_factory):
+        run = default_run_factory(0)
+        out = sample(DivergingNetwork(bad_t=None), run, default_sched)
+        assert np.isfinite(out).all()
+
+    def test_run_sortblock_raises(self, default_sched, default_run_factory, default_window):
+        run = default_run_factory(0)
+        cfg = SortblockConfig(refresh_interval=5, rho=0.3, window=default_window)
+        _, clean = run_sortblock(DivergingNetwork(bad_t=None), run, default_sched, cfg)
+        # the last block is computed at a full step, so the inf reaches the latent
+        k = max(r.step for r in clean.steps if r.phase == "full")
+        t = run.step_list[k]
+        with pytest.raises(NonFiniteError, match=rf"step {k} \(timestep {t} -> "):
+            run_sortblock(DivergingNetwork(t), run, default_sched, cfg)
+
+    def test_cli_run_exits_1_with_one_error_line(self, monkeypatch, tmp_path, capsys):
+        # step 0 lies outside the default window, so every block is computed
+        steps = uniform_step_list(1000, 10)
+        monkeypatch.setattr(cli, "init_network", lambda cfg: DivergingNetwork(steps[0]))
+        for mode in ("baseline", "sortblock"):
+            rc = cli.main(["run", "--mode", mode, "--steps", "10", "--out-dir", str(tmp_path / mode)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.splitlines() == [
+                f"error: the latent is not finite after step 0 (timestep {steps[0]} -> {steps[1]})"
+            ]

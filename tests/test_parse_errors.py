@@ -1,8 +1,9 @@
 """Malformed input files.  Policy and latent blob files raise ParseError
 naming the path, through the library and through the CLI (exit 1, one
 ``error:`` line); config files and curve CSVs that are not UTF-8 exit 1 too.
-A heavy trace with a missing or truncated tensor file raises ParseError
-naming that file."""
+A heavy trace with a missing or truncated tensor file, or a ``trace.json`` or
+``tensors.json`` that is not JSON, is truncated, or lacks a field or has one
+of the wrong type, raises ParseError naming that file."""
 
 import json
 import struct
@@ -163,3 +164,74 @@ def test_load_trace_broken_tensor_file_raises_parse_error(tmp_path, heavy_trace,
         path.write_bytes(path.read_bytes()[: 100 if damage == "truncated" else 0])
     with pytest.raises(ParseError, match="delta_s0001_b005.f32"):
         load_trace(tmp_path)
+
+
+def _edit_json(edit):
+    """A damage that rewrites the parsed document with ``edit`` (in place)."""
+    def damage(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return damage
+
+
+def _step0(edit):
+    return _edit_json(lambda doc: edit(doc["steps"][0]))
+
+
+def _entry0(edit):
+    return _edit_json(lambda doc: edit(doc[0]))
+
+
+BAD_TRACE_JSON = {
+    "not_json": lambda text: "{steps: []}",
+    "truncated": lambda text: text[:200],
+    "empty": lambda text: "",
+    "not_utf8": lambda text: b"\xff\xfe\x00{",
+    "list": lambda text: "[]",
+    "only_steps": lambda text: '{"steps": []}',
+    "no_total_evals": _edit_json(lambda doc: doc.pop("total_evals")),
+    "total_evals_string": _edit_json(lambda doc: doc.update(total_evals="36")),
+    "heavy_number": _edit_json(lambda doc: doc.update(heavy=1)),
+    "config_list": _edit_json(lambda doc: doc.update(config=[])),
+    "steps_object": _edit_json(lambda doc: doc.update(steps={})),
+    "step_not_object": _edit_json(lambda doc: doc["steps"].__setitem__(0, 7)),
+    "step_no_flags": _step0(lambda step: step.pop("flags")),
+    "step_flags_strings": _step0(lambda step: step.update(flags=["1"] * 12)),
+    "step_evals_bool": _step0(lambda step: step.update(evals=True)),
+    "step_delta_l1_null": _step0(lambda step: step.update(delta_l1=None)),
+    "step_scores_string": _step0(lambda step: step.update(scores="none")),
+}
+
+BAD_TENSORS_JSON = {
+    "not_json": lambda text: "[{file: x}]",
+    "truncated": lambda text: text[:200],
+    "object": lambda text: "{}",
+    "entry_not_object": _edit_json(lambda doc: doc.__setitem__(0, "delta_s0000_b000.f32")),
+    "no_shape": _entry0(lambda entry: entry.pop("shape")),
+    "shape_string": _entry0(lambda entry: entry.update(shape="64x64")),
+    "shape_negative": _entry0(lambda entry: entry.update(shape=[-64, -64])),
+    "no_step": _entry0(lambda entry: entry.pop("step")),
+    "block_null": _entry0(lambda entry: entry.update(block=None)),
+    "unknown_kind": _entry0(lambda entry: entry.update(kind="noise")),
+    "file_outside_directory": _entry0(lambda entry: entry.update(file="../trace.json")),
+    "missing_entry": _edit_json(lambda doc: doc.pop(5)),
+}
+
+
+@pytest.mark.parametrize("name, case", [("trace.json", c) for c in sorted(BAD_TRACE_JSON)]
+                         + [("tensors.json", c) for c in sorted(BAD_TENSORS_JSON)])
+def test_load_trace_malformed_json_raises_parse_error(tmp_path, heavy_trace, name, case):
+    save_trace(heavy_trace, tmp_path)
+    path = tmp_path / name
+    damage = (BAD_TRACE_JSON if name == "trace.json" else BAD_TENSORS_JSON)[case]
+    _write(path, damage(path.read_text()))
+    with pytest.raises(ParseError, match=name):
+        load_trace(tmp_path)
+
+
+def test_saved_heavy_trace_loads(tmp_path, heavy_trace):
+    save_trace(heavy_trace, tmp_path)
+    loaded = load_trace(tmp_path)
+    assert loaded.to_dict() == heavy_trace.to_dict()
+    assert len(loaded.deltas) == 3 and len(loaded.outputs) == 3
