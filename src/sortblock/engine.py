@@ -64,7 +64,10 @@ def _cosine_float64(av: np.ndarray, bv: np.ndarray) -> float:
     nb = math.sqrt(bv.dot(bv))
     if na < _NORM_FLOOR or nb < _NORM_FLOOR:
         return ZERO_DELTA_SIMILARITY
-    return float(np.clip(float(av @ bv) / (na * nb), -1.0, 1.0))
+    c = float(av @ bv) / (na * nb)
+    # the bits of float(np.clip(c, -1.0, 1.0)), NaN passing through, without
+    # np.clip's per-call cost on a Python float
+    return c if -1.0 <= c <= 1.0 else (math.copysign(1.0, c) if c == c else c)
 
 
 @dataclass

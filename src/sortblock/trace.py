@@ -7,9 +7,11 @@ output at every step, which is what the oracle and the L1-curve analysis
 consume.  Heavy mode is guarded by a memory preflight so oversized configs
 fail loudly instead of thrashing.
 
-Serialization: scalar records go to a single JSON document; heavy tensors go
-to raw little-endian float32 blobs next to it, described by a JSON sidecar
-listing {file, shape, dtype, step, block, kind} per tensor.
+Serialization: scalar records go to a single JSON document, ``trace.json``;
+heavy tensors go to raw little-endian float32 blobs next to it, one file per
+tensor, described by a JSON sidecar, ``tensors.json``, listing {file, shape,
+dtype, step, block, kind} per tensor.  Both JSON files are compact, with one
+record per line: each step of ``trace.json``, each entry of the sidecar.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -66,8 +68,11 @@ class RunTrace:
         return {r.step: list(r.flags) for r in self.steps if r.phase == "ranked"}
 
     def to_dict(self) -> dict:
+        """The JSON document of the trace, minus the tensors; its step lists
+        are copies (``config`` is not)."""
         return {
-            "steps": [asdict(r) for r in self.steps],
+            "steps": [{**vars(r), "flags": list(r.flags), "scores": None if r.scores is None else list(r.scores),
+                       "delta_l1": list(r.delta_l1), "delta_l2": list(r.delta_l2)} for r in self.steps],
             "total_evals": self.total_evals,
             "wall_time_s": self.wall_time_s,
             "config": self.config,
@@ -225,36 +230,50 @@ def ranking_fidelity(predicted, oracle_scores) -> float:
 def save_trace(trace: RunTrace, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    sidecar = []
+    tensors = []  # (file, array, step, block, kind)
     if trace.heavy and trace.deltas is not None:
-        for s, per_block in enumerate(trace.deltas):
-            for b, delta in enumerate(per_block):
-                fname = f"delta_s{s:04d}_b{b:03d}.f32"
-                delta.astype("<f4").tofile(directory / fname)
-                sidecar.append(
-                    {"file": fname, "shape": list(delta.shape), "dtype": "f32le",
-                     "step": s, "block": b, "kind": "delta"}
-                )
+        tensors += [(f"delta_s{s:04d}_b{b:03d}.f32", delta, s, b, "delta")
+                    for s, per_block in enumerate(trace.deltas) for b, delta in enumerate(per_block)]
     if trace.outputs is not None:
-        for s, out in enumerate(trace.outputs):
-            fname = f"output_s{s:04d}.f32"
-            out.astype("<f4").tofile(directory / fname)
-            sidecar.append(
-                {"file": fname, "shape": list(out.shape), "dtype": "f32le",
-                 "step": s, "block": None, "kind": "output"}
-            )
+        tensors += [(f"output_s{s:04d}.f32", out, s, None, "output") for s, out in enumerate(trace.outputs)]
+    for fname, arr, *_ in tensors:
+        _write_tensor(os.path.join(directory, fname), arr)
     doc = trace.to_dict()
     doc["stored_outputs"] = trace.outputs is not None
-    (directory / "trace.json").write_text(json.dumps(doc, indent=1))
-    if sidecar:
-        (directory / "tensors.json").write_text(json.dumps(sidecar, indent=1))
+    steps = doc.pop("steps")  # one per line, then the other fields
+    (directory / "trace.json").write_text('{"steps":' + _json_lines(steps) + "," + _dumps(doc)[1:])
+    if tensors:
+        (directory / "tensors.json").write_text(_json_lines(
+            {"file": f, "shape": list(a.shape), "dtype": "f32le", "step": s, "block": b, "kind": k}
+            for f, a, s, b, k in tensors
+        ))
+
+
+_dumps = json.JSONEncoder(separators=(",", ":")).encode  # compact, C-encoded (no indent)
+
+
+def _json_lines(records) -> str:
+    """A JSON array with one compact record per line."""
+    return "[\n" + ",\n".join(map(_dumps, records)) + "\n]"
+
+
+def _write_tensor(path: str, arr: Matrix) -> None:
+    """``arr`` as raw little-endian float32 bytes (no copy when it already is
+    contiguous ``<f4``)."""
+    data = memoryview(np.ascontiguousarray(arr, "<f4").reshape(-1).view(np.uint8))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def load_trace(directory) -> RunTrace:
     """Read a trace written by ``save_trace``.  A ``trace.json`` or
     ``tensors.json`` that is not JSON, is truncated, or lacks a field or has
-    one of the wrong type, and a missing or wrongly sized tensor file, raise
-    ``ParseError`` naming the file."""
+    one of the wrong type, and a missing, unreadable or wrongly sized tensor
+    file, raise ``ParseError`` naming the file."""
     directory = Path(directory)
     path = directory / "trace.json"
     doc = _checked(path, _read_json(path), _TRACE_FIELDS)
@@ -282,7 +301,7 @@ def load_trace(directory) -> RunTrace:
                 raise ParseError(f"{sidecar_path}: unknown tensor kind {kind!r}")
             if min(shape, default=0) < 0:
                 raise ParseError(f"{sidecar_path}: negative dimension in shape {shape}")
-            arr = _read_tensor(directory / name, shape)
+            arr = _read_tensor(os.path.join(directory, name), shape)
             if kind == "delta":
                 deltas[(step, entry["block"])] = arr
             else:
@@ -344,15 +363,26 @@ def _step_record(path: Path, r) -> StepRecord:
     return StepRecord(**{key: r[key] for key in _STEP_FIELDS})
 
 
-def _read_tensor(path: Path, shape) -> Matrix:
+def _read_tensor(path: str, shape) -> Matrix:
     """One raw little-endian float32 tensor file of a heavy trace; a missing,
     unreadable or wrongly sized file raises ParseError naming it."""
+    nbytes = 4 * math.prod(shape)
     try:
-        arr = np.fromfile(path, dtype="<f4")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            if size != nbytes:
+                raise ParseError(
+                    f"{path}: holds {size} bytes, the sidecar gives shape {list(shape)} ({nbytes} bytes)"
+                )
+            arr = np.empty(shape, "<f4")
+            view = memoryview(arr.reshape(-1).view(np.uint8))
+            while view and (n := os.readv(fd, [view])):
+                view = view[n:]
+            if view:
+                raise ParseError(f"{path}: shorter than its {nbytes} bytes")
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read tensor file: {exc.strerror}") from exc
-    if arr.size != math.prod(shape):
-        raise ParseError(
-            f"{path}: holds {arr.size} float32 values, the sidecar gives shape {list(shape)}"
-        )
-    return arr.reshape(shape)
+    return arr

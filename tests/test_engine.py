@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sortblock import (
@@ -29,7 +29,7 @@ from sortblock import (
     standard_normal,
 )
 from sortblock.dit import BlockIO
-from sortblock.engine import ZERO_DELTA_SIMILARITY
+from sortblock.engine import _NORM_FLOOR, ZERO_DELTA_SIMILARITY, _cosine_float64
 
 
 def _bits(scores):
@@ -38,6 +38,14 @@ def _bits(scores):
 
 def _vec(*values):
     return np.array([list(values)], dtype=np.float32)
+
+
+# inf, NaN, signed zeros and values around the norm floor, beside any double
+_COSINE_ELEMENT = st.one_of(
+    st.floats(width=64),
+    st.floats(-1e-11, 1e-11),
+    st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 7e-13, math.inf, -math.inf, math.nan]),
+)
 
 
 class TestCosineSimilarity:
@@ -61,6 +69,32 @@ class TestCosineSimilarity:
 
     def test_negative_bound(self):
         assert cosine_similarity(_vec(1, 1), _vec(-1, -1)) == pytest.approx(-1.0, abs=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda n: st.tuples(
+            st.lists(_COSINE_ELEMENT, min_size=n, max_size=n),
+            st.lists(_COSINE_ELEMENT, min_size=n, max_size=n),
+        )),
+        st.sampled_from([None, 1.0, -1.0, 3.5, -1e-3]),
+    )
+    # a vector against itself (negated), whose quotient rounds to 1 + 2**-52 (-1 - 2**-52)
+    @example(([-0.7322673547034516, -0.5442589828573099, -0.31630015636915454], [0.0] * 3), 1.0)
+    @example(([0.4116305363741328, 1.0425133694426776, -0.12853466294403426], [0.0] * 3), -1.0)
+    def test_clamp_is_the_bits_of_np_clip(self, vectors, scale):
+        """The scalar clamp of ``_cosine_float64`` returns the raw float64
+        words of ``float(np.clip(c, -1.0, 1.0))``, NaN included; ``scale``
+        makes ``b`` a multiple of ``a``, so the quotient lands on or past +-1."""
+        a, b = (np.array(v, dtype=np.float64) for v in vectors)
+        with np.errstate(all="ignore"):
+            if scale is not None:
+                b = a * scale
+            na, nb = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))
+            if na < _NORM_FLOOR or nb < _NORM_FLOOR:
+                expected = ZERO_DELTA_SIMILARITY
+            else:
+                expected = float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
+            assert _bits([_cosine_float64(a, b)]) == _bits([expected])
 
 
 class TestLinearPredict:

@@ -154,12 +154,16 @@ def heavy_trace():
     return record_baseline(init_network(DitConfig()), short, sched, heavy=True)
 
 
-@pytest.mark.parametrize("damage", ["missing", "truncated", "empty"])
+@pytest.mark.parametrize("damage", ["missing", "truncated", "empty", "oversized", "directory"])
 def test_load_trace_broken_tensor_file_raises_parse_error(tmp_path, heavy_trace, damage):
     save_trace(heavy_trace, tmp_path)
     path = tmp_path / "delta_s0001_b005.f32"
-    if damage == "missing":
+    if damage in ("missing", "directory"):
         path.unlink()
+        if damage == "directory":
+            path.mkdir()
+    elif damage == "oversized":  # the whole tensor, then extra bytes
+        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
     else:
         path.write_bytes(path.read_bytes()[: 100 if damage == "truncated" else 0])
     with pytest.raises(ParseError, match="delta_s0001_b005.f32"):

@@ -1,3 +1,8 @@
+import json
+import os
+import tempfile
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +173,56 @@ class TestRankingFidelity:
         assert all(-1.0 <= t <= 1.0 for t in taus)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _traces(draw):
+    """A RunTrace of 1-4 steps over 1-5 blocks; tensors of a small shape in a
+    drawn layout (float32, big-endian, float64, transposed)."""
+    n_steps, n_blocks = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    heavy, with_outputs = draw(st.booleans()), draw(st.booleans())
+    shape = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    layout = draw(st.sampled_from(["<f4", ">f4", "<f8", "transposed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def tensor():
+        arr = rng.standard_normal(shape[::-1] if layout == "transposed" else shape)
+        return arr.T.astype(np.float32) if layout == "transposed" else arr.astype(layout)
+
+    floats = st.lists(_FINITE, min_size=n_blocks, max_size=n_blocks)
+    steps = [
+        StepRecord(step=s, timestep=draw(st.integers(0, 999)),
+                   phase=draw(st.sampled_from(["full", "ranked", "follow", "outside"])),
+                   flags=draw(st.lists(st.integers(0, 1), min_size=n_blocks, max_size=n_blocks)),
+                   scores=draw(st.none() | floats), delta_l1=draw(floats), delta_l2=draw(floats),
+                   evals=n_blocks, eval_total=(s + 1) * n_blocks,
+                   degenerate_predictions=draw(st.integers(0, n_blocks)))
+        for s in range(n_steps)
+    ]
+    return RunTrace(
+        steps=steps, total_evals=n_steps * n_blocks, wall_time_s=draw(_FINITE),
+        config={"mode": draw(st.sampled_from(["baseline", "sortblock"])), "steps": n_steps},
+        heavy=heavy,
+        deltas=[[tensor() for _ in range(n_blocks)] for _ in range(n_steps)] if heavy else None,
+        outputs=[tensor() for _ in range(n_steps)] if with_outputs else None,
+    )
+
+
+def _expected_tensors(trace):
+    """(sidecar entry, array) for every tensor ``save_trace`` writes, in order."""
+    out = []
+    if trace.heavy:
+        for s, per_block in enumerate(trace.deltas):
+            for b, arr in enumerate(per_block):
+                out.append(({"file": f"delta_s{s:04d}_b{b:03d}.f32", "shape": list(arr.shape),
+                             "dtype": "f32le", "step": s, "block": b, "kind": "delta"}, arr))
+    for s, arr in enumerate(trace.outputs or []):
+        out.append(({"file": f"output_s{s:04d}.f32", "shape": list(arr.shape), "dtype": "f32le",
+                     "step": s, "block": None, "kind": "output"}, arr))
+    return out
+
+
 class TestTraceSerialization:
     def test_light_round_trip(self, tmp_path, default_net, default_sched, default_run_factory, default_window):
         cfg = SortblockConfig(refresh_interval=5, rho=0.3, window=default_window)
@@ -195,6 +250,49 @@ class TestTraceSerialization:
                 assert a.tobytes() == b.tobytes()
         for oa, ob in zip(loaded.outputs, trace.outputs):
             assert oa.tobytes() == ob.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_traces())
+    def test_generated_round_trip(self, trace):
+        """Generated traces, heavy or light, with or without outputs, with
+        tensors of any layout or float dtype: the tensor files hold the
+        arrays' little-endian float32 bytes, the JSON files parse to the
+        documents ``asdict`` made, and the loaded trace equals the saved one."""
+        with tempfile.TemporaryDirectory() as tmp:
+            save_trace(trace, tmp)
+            tensors = _expected_tensors(trace)
+            assert sorted(os.listdir(tmp)) == sorted(
+                ["trace.json"] + (["tensors.json"] if tensors else []) + [e["file"] for e, _ in tensors]
+            )
+            for entry, arr in tensors:
+                with open(os.path.join(tmp, entry["file"]), "rb") as f:
+                    assert f.read() == arr.astype("<f4").tobytes()
+            doc = {"steps": [asdict(r) for r in trace.steps], "total_evals": trace.total_evals,
+                   "wall_time_s": trace.wall_time_s, "config": trace.config, "heavy": trace.heavy}
+            assert trace.to_dict() == doc
+            with open(os.path.join(tmp, "trace.json")) as f:
+                assert json.load(f) == {**doc, "stored_outputs": trace.outputs is not None}
+            if tensors:
+                with open(os.path.join(tmp, "tensors.json")) as f:
+                    assert json.load(f) == [e for e, _ in tensors]
+            loaded = load_trace(tmp)
+        assert loaded.to_dict() == doc
+        assert (loaded.outputs is None) == (trace.outputs is None)
+        if trace.heavy:
+            assert [len(per) for per in loaded.deltas] == [len(per) for per in trace.deltas]
+        else:
+            assert loaded.deltas is None
+        back = [a for per in loaded.deltas or [] for a in per] + (loaded.outputs or [])
+        assert len(back) == len(tensors)
+        for a, (_, b) in zip(back, tensors):
+            assert a.dtype == np.float32 and np.array_equal(a, b.astype("<f4"))
+
+        mutated = trace.to_dict()
+        for step in mutated["steps"]:
+            for key in ("flags", "scores", "delta_l1", "delta_l2"):
+                if step[key] is not None:
+                    step[key].append(7)
+        assert trace.to_dict() == doc
 
     def test_ranked_flag_schedule_extraction(self, default_net, default_sched, default_run_factory, default_window):
         cfg = SortblockConfig(refresh_interval=5, rho=0.3, window=default_window)
