@@ -3,26 +3,42 @@ feature prediction.
 
 The engine is a block hook driving the toy network.  Within the configured
 timestep window, steps cycle through phases modulo the refresh interval K
-(counted from window entry, so the cache is always warm before the first
-prediction):
+(``step_phase``: counted from window entry, so the cache is always warm
+before the first prediction):
 
-* phase 0 (mod K) -- "full": every block is computed; each block's residual
-  delta is stored as the reference for the next ranking.
-* phase 1 (mod K) -- "ranked": every block's output is first predicted by
-  linear extrapolation of its cache entry; the predicted deltas (prediction
-  minus the predicted input chain) are scored by cosine similarity against
-  the stored reference deltas; the ceil(rho*N) lowest-scoring blocks are
-  flagged for recomputation, and the serving pass recomputes exactly those,
-  propagating recomputed outputs to downstream inputs sequentially.
-* other phases -- "follow": flagged blocks are recomputed every step (and
-  refresh their cache entries); unflagged blocks are served by prediction,
-  extrapolating further from their last computed values.
+* phase 0 (mod K) -- "full": every block is computed; the step's residual
+  deltas are stored as the references for the next ranking.
+* phase 1 (mod K) -- "ranked": the predicted deltas (each block's prediction
+  minus the prediction before it, block 0's minus the step's input) are
+  scored by cosine similarity against the reference deltas; the ceil(rho*N)
+  lowest-scoring blocks are flagged for recomputation, and the serving pass
+  recomputes exactly those, propagating recomputed outputs to downstream
+  inputs sequentially.
+* other phases -- "follow": flagged blocks are recomputed every step;
+  unflagged blocks are served by prediction, extrapolating further.
 
 Steps outside the window are computed fully and refresh the cache but do not
 advance the phase counter.
 
+Every step that refreshes the cache computes every block, so the cache is one
+state shared by all blocks: the outputs of the last two compute-everything
+(full or outside) steps, the anchors, and the interval between them.  A
+ranked or follow step predicts all N blocks at once, before block 0 is
+served, by ``linear_predict``'s extrapolation k = step - anchor steps beyond
+the newer anchor; the slope is computed once per anchor interval.  Until two
+anchors exist the predictions are copies (counted as degenerate in the
+trace).  Recomputes between anchors are served but not cached: the next
+anchor supersedes them before any prediction would read them, and a slope
+over single-step gaps would differentiate step-to-step noise and resonate
+through the sampler feedback loop (extrapolation amplifies a 1-step slope by
+up to K-1).
+
+An engine without a config is the full-compute baseline of
+``record_baseline``: every step is "full", no cache is kept, and heavy mode
+captures every block's delta and each step's model output.
+
 Only invoked computations count as block evaluations; predictions are a few
-vector ops and are accounted separately in the trace.
+vector ops per step and are accounted separately in the trace.
 """
 
 from __future__ import annotations
@@ -72,24 +88,14 @@ def _cosine_float64(av: np.ndarray, bv: np.ndarray) -> float:
 
 @dataclass
 class BlockCacheEntry:
-    """Feature values from the last two full-compute steps plus the step
-    interval between them (the slope basis), and the step of the block's most
-    recent actual computation of any kind.
-
-    Slope pairs anchor exclusively on full-compute steps: inside the window
-    the interval is the refresh interval K, so the extrapolation slope is a
-    K-step average.  Anchoring slopes on single-step recompute gaps instead
-    would differentiate step-to-step noise and resonate through the sampler
-    feedback loop (extrapolation amplifies a 1-step slope by up to K-1).
-    Mid-interval recomputes refresh only last_compute_step; their outputs are
-    served directly and the next full step supersedes them before any
-    prediction would consume them.
-    """
+    """One block's view of the cache: its outputs at the last two
+    compute-everything steps and the step interval between them (the slope
+    basis).  The engine holds all blocks' values stacked; this is the
+    argument of the one-block reference formula ``linear_predict``."""
 
     value: Matrix
     prev_value: Optional[Matrix]
     interval: int  # steps between the two stored computations; 0 until both exist
-    last_compute_step: int
 
 
 def linear_predict(entry: BlockCacheEntry, k: int) -> Matrix:
@@ -114,7 +120,6 @@ class PolicySequence:
 
     flags: list[int]
     scores: Optional[list[float]]
-    created_at_step: int = -1
 
 
 def recompute_quota(rho: float, num_blocks: int) -> int:
@@ -122,7 +127,7 @@ def recompute_quota(rho: float, num_blocks: int) -> int:
     return min(num_blocks, max(0, math.ceil(rho * num_blocks - 1e-9)))
 
 
-def select_blocks(scores: Sequence[float], rho: float, created_at_step: int = -1) -> PolicySequence:
+def select_blocks(scores: Sequence[float], rho: float) -> PolicySequence:
     """Flag the ceil(rho*N) lowest-scoring blocks for recomputation.
 
     Non-finite scores (NaN, +-inf) rank as least similar, so a block whose
@@ -140,7 +145,7 @@ def select_blocks(scores: Sequence[float], rho: float, created_at_step: int = -1
     flags = [0] * len(scores)
     for idx in order[: recompute_quota(rho, len(scores))]:
         flags[int(idx)] = 1
-    return PolicySequence(flags=flags, scores=scores, created_at_step=created_at_step)
+    return PolicySequence(flags=flags, scores=scores)
 
 
 @dataclass(frozen=True)
@@ -195,50 +200,78 @@ def inner_window(step_list: Sequence[int], fraction: float = 0.8) -> tuple[int, 
     return int(step_list[excl]), int(step_list[n - excl - 1])
 
 
+def step_phase(
+    t: int, window: tuple[int, int], refresh_interval: int, counter: Optional[int]
+) -> tuple[str, Optional[int]]:
+    """The lifecycle rule: the label of a step at timestep ``t`` and the phase
+    counter after it, given the counter after the previous step (None until
+    the window is entered).  The counter starts at 0 on window entry and
+    counts in-window steps only; modulo K, 0 is "full", 1 "ranked" and the
+    rest "follow"."""
+    t_high, t_low = window
+    if not (t_low <= t <= t_high):
+        return "outside", counter
+    counter = 0 if counter is None else counter + 1
+    r = counter % refresh_interval
+    return ("full" if r == 0 else "ranked" if r == 1 else "follow"), counter
+
+
 class SortblockEngine:
     """Stateful block hook implementing the caching lifecycle for one run.
 
     Single-owner state: use one engine per sampling run.  A mapping of
     step index -> flags can be supplied to replay recorded ranked-step
     decisions instead of ranking (the trace-driven policy simulator).
+
+    With ``cfg=None`` every step computes every block and nothing is cached
+    (the full-compute baseline); only then may ``heavy`` store every block's
+    delta and ``store_outputs`` each step's model output in the trace.
     """
 
     def __init__(
         self,
-        cfg: SortblockConfig,
+        cfg: Optional[SortblockConfig],
         num_blocks: int,
         policy_override: Optional[Mapping[int, Sequence[int]]] = None,
+        heavy: bool = False,
+        store_outputs: bool = False,
     ):
+        if cfg is not None and (heavy or store_outputs):
+            raise ConfigError("heavy capture and stored outputs need a full-compute engine (cfg=None)")
         self.cfg = cfg
         self.num_blocks = num_blocks
         self.policy_override = policy_override
-        self.entries: list[Optional[BlockCacheEntry]] = [None] * num_blocks
-        self.ref_deltas: list[Optional[Matrix]] = [None] * num_blocks
+        self.heavy = heavy
+        self.store_outputs = store_outputs
+        self.trace = RunTrace(heavy=heavy, deltas=[] if heavy else None, outputs=[] if store_outputs else None)
         self.policy: Optional[PolicySequence] = None
-        self.phase: Optional[int] = None
-        self.trace = RunTrace()
+        self.phase: Optional[int] = None  # step_phase's counter
+        # the cache: the last two anchors (compute-everything steps)
+        self.anchor_step: Optional[int] = None
+        self.interval = 0  # steps between the two anchors; 0 until both exist
+        # (N, tokens, channels) float32 stacks, allocated at the first eval
+        self.values: Optional[np.ndarray] = None  # outputs at the anchor step
+        self.prev_values: Optional[np.ndarray] = None  # outputs at the anchor before it
+        self.slopes: Optional[np.ndarray] = None  # (values - prev_values) / interval
+        self.preds: Optional[np.ndarray] = None  # this step's linear predictions
+        self.ref_deltas: Optional[np.ndarray] = None  # the last full step's deltas, from the first on
+        self._slope_anchor: Optional[int] = None  # the anchor step self.slopes belongs to
+        # the ranking sweep's float64 operands: a predicted delta and its reference
+        self._sweep64: Optional[np.ndarray] = None
+        self._serve_from: Optional[np.ndarray] = None  # the stack this step's predictions come from
+        self._served: Optional[np.ndarray] = None  # this step's served deltas, one row per block
         self._step = -1
         self._t = -1
         self._label = "outside"
-        self._anchor_step: Optional[int] = None  # most recent completed full-compute step
-        self._preds: Optional[list[Matrix]] = None
         self._record: Optional[StepRecord] = None
-        self._served: Optional[np.ndarray] = None  # this step's served deltas, one row per block
-        # the ranking sweep's float64 operands: a predicted delta and its reference
-        self._sweep64: Optional[np.ndarray] = None
 
     def begin_step(self, step_index: int, t: int) -> None:
         self._step = step_index
         self._t = int(t)
-        t_high, t_low = self.cfg.window
-        if not (t_low <= self._t <= t_high):
-            self._label = "outside"
+        if self.cfg is None:
+            self._label = "full"
         else:
-            # the phase counter anchors at window entry and ignores outside steps
-            self.phase = 0 if self.phase is None else self.phase + 1
-            r = self.phase % self.cfg.refresh_interval
-            self._label = "full" if r == 0 else ("ranked" if r == 1 else "follow")
-        self._preds = None
+            self._label, self.phase = step_phase(self._t, self.cfg.window, self.cfg.refresh_interval, self.phase)
         self._record = StepRecord(
             step=step_index,
             timestep=self._t,
@@ -251,96 +284,96 @@ class SortblockEngine:
             eval_total=0,
         )
         self.trace.steps.append(self._record)
+        if self.heavy:
+            self.trace.deltas.append([])
 
     def __call__(self, index: int, x: Matrix, compute: Callable) -> Matrix:
-        label = self._label
         rec = self._record
         if rec is None:
             raise SortblockError("engine hook called before begin_step")
         if self._served is None:
-            self._served = np.empty((self.num_blocks, x.size), dtype=np.float32)
-        row = self._served[index]
+            self._allocate(x)
+        label = self._label
+        anchor = label == "full" or label == "outside"
+        if index == 0:
+            if not anchor:
+                self._predict_step(x)
+            elif self.values is not None:
+                self.values, self.prev_values = self.prev_values, self.values
+                if label == "full" and self.ref_deltas is None:
+                    self.ref_deltas = np.empty_like(self.values)
 
-        if label in ("outside", "full"):
+        if anchor or self.policy.flags[index]:
             io = compute()
-            self._update_cache(index, io.output, anchor=True)
-            if label == "full":
-                self.ref_deltas[index] = io.delta
+            rec.evals += 1
             rec.flags.append(1)
             served = io.output
-            row[:] = io.delta.reshape(-1)
-        elif label == "ranked":
-            if index == 0:
-                self._rank_and_select(x)
-            flag = self.policy.flags[index]
-            if flag:
-                io = compute()
-                self._update_cache(index, io.output, anchor=False)
-                served = io.output
-                row[:] = io.delta.reshape(-1)
-            else:
-                served = self._preds[index]
-                np.subtract(served, x, out=row.reshape(x.shape))
-            rec.flags.append(flag)
-        else:  # follow
-            if self.policy is None:
-                raise SortblockError("follow step before any ranked step")
-            flag = self.policy.flags[index]
-            if flag:
-                io = compute()
-                self._update_cache(index, io.output, anchor=False)
-                served = io.output
-                row[:] = io.delta.reshape(-1)
-            else:
-                served, degenerate = self._predict(index)
-                if degenerate:
-                    rec.degenerate_predictions += 1
-                np.subtract(served, x, out=row.reshape(x.shape))
-            rec.flags.append(flag)
+            self._served[index] = io.delta.reshape(-1)
+            if self.heavy:
+                self.trace.deltas[-1].append(io.delta)
+            if anchor and self.values is not None:
+                self.values[index] = io.output
+                if label == "full":
+                    self.ref_deltas[index] = io.delta
+        else:
+            rec.flags.append(0)
+            served = self._serve_from[index]
+            np.subtract(served, x, out=self._served[index].reshape(x.shape))
 
         if index == self.num_blocks - 1:
             rec.delta_l1, rec.delta_l2 = served_delta_stats(self._served)
             self.trace.total_evals += rec.evals
             rec.eval_total = self.trace.total_evals
-            if label in ("outside", "full"):
-                self._anchor_step = self._step
+            if self.store_outputs:
+                self.trace.outputs.append(served)
+            if anchor:
+                self.interval = 0 if self.anchor_step is None else self._step - self.anchor_step
+                self.anchor_step = self._step
         return served
 
-    def _update_cache(self, index: int, output: Matrix, anchor: bool) -> None:
-        """Record an actual computation.  Anchor computes (full/outside steps)
-        roll the slope pair; mid-interval recomputes only mark the step."""
-        self._record.evals += 1
-        entry = self.entries[index]
-        if entry is None:
-            self.entries[index] = BlockCacheEntry(output, None, 0, self._step)
-        elif anchor:
-            prev_anchor = self._anchor_step if self._anchor_step is not None else entry.last_compute_step
-            self.entries[index] = BlockCacheEntry(
-                value=output,
-                prev_value=entry.value,
-                interval=self._step - prev_anchor,
-                last_compute_step=self._step,
+    def _allocate(self, x: Matrix) -> None:
+        # no array larger than one (N, tokens*channels) float32 stack: glibc
+        # raises its mmap and trim thresholds to the largest block freed, which
+        # moves the cost of every later mid-sized allocation in the process
+        n = self.num_blocks
+        self._served = np.empty((n, x.size), dtype=np.float32)
+        if self.cfg is not None:
+            self.values, self.prev_values, self.slopes, self.preds = (
+                np.empty((n, *x.shape), dtype=np.float32) for _ in range(4)
             )
-        else:
-            self.entries[index] = BlockCacheEntry(
-                value=entry.value,
-                prev_value=entry.prev_value,
-                interval=entry.interval,
-                last_compute_step=self._step,
-            )
+            self._sweep64 = np.empty((2, x.size), dtype=np.float64)
 
-    def _predict(self, index: int) -> tuple[Matrix, bool]:
-        entry = self.entries[index]
-        if entry is None:
+    def _predict_step(self, z: Matrix) -> None:
+        """Predict every block for this ranked or follow step; on a ranked
+        step, then build the interval's policy."""
+        ranked = self._label == "ranked"
+        if not ranked and self.policy is None:
+            raise SortblockError("follow step before any ranked step")
+        if self.anchor_step is None:
             raise SortblockError("prediction requested before the first full compute")
         if self.cfg.predict_mode == "copy":
-            return entry.value, False
-        if entry.prev_value is None:
-            return entry.value, True  # single computation: degenerate copy
-        return linear_predict(entry, self._step - entry.last_compute_step), False
+            # served as cached: value + slope * 0 would turn -0.0 into +0.0
+            # and an inf slope into NaN
+            self._serve_from = self.values
+        elif self.interval == 0:  # a single anchor: degenerate copies
+            self._serve_from = self.values
+            predicted = self.num_blocks if ranked else self.num_blocks - sum(self.policy.flags)
+            self._record.degenerate_predictions += predicted
+        else:
+            # linear_predict's operations on the stacks, so the same bits
+            if self._slope_anchor != self.anchor_step:
+                np.subtract(self.values, self.prev_values, out=self.slopes)
+                np.divide(self.slopes, np.float32(self.interval), out=self.slopes)
+                self._slope_anchor = self.anchor_step
+            np.multiply(self.slopes, np.float32(self._step - self.anchor_step), out=self.preds)
+            np.add(self.values, self.preds, out=self.preds)
+            self._serve_from = self.preds
+        if ranked:
+            self._select(z)
 
-    def _rank_and_select(self, z: Matrix) -> None:
-        """Prediction sweep over all blocks, then build this interval's policy.
+    def _select(self, z: Matrix) -> None:
+        """This interval's policy: replayed flags, or the ranking of the
+        predicted deltas against the reference deltas.
 
         The sweep chains predicted outputs as inputs (the only causally
         consistent choice: scores must exist before any block is selected),
@@ -348,32 +381,7 @@ class SortblockEngine:
         propagates recomputed outputs sequentially, so downstream deltas see
         partially corrected inputs.
         """
-        rec = self._record
-        ranking = self.policy_override is None
-        if ranking:
-            if self._sweep64 is None:
-                self._sweep64 = np.empty((2, z.size), dtype=np.float64)
-            pred64, ref64 = self._sweep64
-        preds: list[Matrix] = []
-        scores: list[float] = []
-        x = z
-        for i in range(self.num_blocks):
-            p, degenerate = self._predict(i)
-            if degenerate:
-                rec.degenerate_predictions += 1
-            preds.append(p)
-            if ranking:
-                ref = self.ref_deltas[i]
-                if ref is None:
-                    raise SortblockError("ranked step before any full step")
-                # the float32 delta p - x, cast to float64 as it is written
-                np.subtract(p, x, out=pred64.reshape(x.shape), dtype=np.float32)
-                ref64.reshape(ref.shape)[...] = ref
-                scores.append(_cosine_float64(pred64, ref64))
-            x = p
-        self._preds = preds
-
-        if not ranking:
+        if self.policy_override is not None:
             try:
                 flags = [int(f) for f in self.policy_override[self._step]]
             except KeyError:
@@ -382,11 +390,25 @@ class SortblockEngine:
                 ) from None
             if len(flags) != self.num_blocks:
                 raise ConfigError("policy override flag count != num_blocks")
-            self.policy = PolicySequence(flags=flags, scores=None, created_at_step=self._step)
-        else:
-            rho = self.cfg.effective_rho(self._t)
-            self.policy = select_blocks(scores, rho, created_at_step=self._step)
-            rec.scores = list(self.policy.scores)
+            self.policy = PolicySequence(flags=flags, scores=None)
+            return
+        if self.ref_deltas is None:
+            raise SortblockError("ranked step before any full step")
+        # the float32 deltas P - [z, P[:-1]], written to the served stack
+        # (rewritten row by row as the step is served), each widened with its
+        # reference for the float64 score
+        preds = self._serve_from
+        deltas = self._served.reshape(preds.shape)
+        np.subtract(preds[0], z, out=deltas[0])
+        np.subtract(preds[1:], preds[:-1], out=deltas[1:])
+        pred64, ref64 = self._sweep64
+        scores = []
+        for delta, ref in zip(self._served, self.ref_deltas.reshape(self._served.shape)):
+            pred64[...] = delta
+            ref64[...] = ref
+            scores.append(_cosine_float64(pred64, ref64))
+        self.policy = select_blocks(scores, self.cfg.effective_rho(self._t))
+        self._record.scores = list(self.policy.scores)
 
 
 def run_sortblock(
@@ -442,20 +464,12 @@ def expected_eval_count(
     policy is only rebuilt there)."""
     if (rho is None) == (rho_fn is None):
         raise ConfigError("provide exactly one of rho / rho_fn")
-    t_high, t_low = window
     total = 0
-    phase: Optional[int] = None
+    counter: Optional[int] = None
     quota = 0
     for t in step_list:
-        if not (t_low <= t <= t_high):
-            total += num_blocks
-            continue
-        phase = 0 if phase is None else phase + 1
-        r = phase % refresh_interval
-        if r == 0:
-            total += num_blocks
-        else:
-            if r == 1:
-                quota = recompute_quota(rho if rho_fn is None else rho_fn(int(t)), num_blocks)
-            total += quota
+        label, counter = step_phase(t, window, refresh_interval, counter)
+        if label == "ranked":
+            quota = recompute_quota(rho if rho_fn is None else rho_fn(int(t)), num_blocks)
+        total += num_blocks if label in ("outside", "full") else quota
     return total

@@ -1,6 +1,11 @@
 """Run traces: per-step/per-block records of what the sampler did, plus the
 offline oracle computed from replayed full-compute runs.
 
+Every trace is written by the engine's block hook: ``record_baseline`` runs
+the sampler with a ``SortblockEngine`` that has no config, so every step is
+"full" and every block computed, through the same step records as a cached
+run.
+
 A light trace stores scalars only (delta norms, decisions, eval counts).  A
 heavy trace additionally stores every block's residual delta and the model
 output at every step, which is what the oracle and the L1-curve analysis
@@ -90,7 +95,7 @@ def served_delta_stats(stack: np.ndarray) -> tuple[list[float], list[float]]:
     in float32, and ``np.linalg.norm`` squares a flat float64 vector with the
     same dot product (of |d| here, whose squares are those of d).
 
-    Overwrites ``stack`` with its absolute values (its owners rewrite every
+    Overwrites ``stack`` with its absolute values (the engine rewrites every
     row each step), so a step allocates nothing the size of the stack.
     """
     np.abs(stack, out=stack)
@@ -100,60 +105,6 @@ def served_delta_stats(stack: np.ndarray) -> tuple[list[float], list[float]]:
         wide = row.astype(np.float64)
         l2.append(math.sqrt(wide @ wide))
     return l1.tolist(), l2
-
-
-class _BaselineRecorder:
-    """Hook that computes every block and records the trace."""
-
-    def __init__(self, num_blocks: int, heavy: bool, store_outputs: bool):
-        self.num_blocks = num_blocks
-        self.heavy = heavy
-        self.store_outputs = store_outputs
-        self.trace = RunTrace(heavy=heavy)
-        if heavy:
-            self.trace.deltas = []
-        if store_outputs:
-            self.trace.outputs = []
-        self._step = -1
-        self._t = -1
-        self._record: Optional[StepRecord] = None
-        self._served: Optional[np.ndarray] = None  # this step's deltas, one row per block
-
-    def begin_step(self, step_index: int, t: int) -> None:
-        self._step = step_index
-        self._t = int(t)
-
-    def __call__(self, index: int, x: Matrix, compute) -> Matrix:
-        if index == 0:
-            self._record = StepRecord(
-                step=self._step,
-                timestep=self._t,
-                phase="full",
-                flags=[1] * self.num_blocks,
-                scores=None,
-                delta_l1=[],
-                delta_l2=[],
-                evals=0,
-                eval_total=0,
-            )
-            self.trace.steps.append(self._record)
-            if self.heavy:
-                self.trace.deltas.append([])
-            if self._served is None:
-                self._served = np.empty((self.num_blocks, x.size), dtype=np.float32)
-        io = compute()
-        rec = self._record
-        rec.evals += 1
-        self._served[index] = io.delta.reshape(-1)
-        if self.heavy:
-            self.trace.deltas[-1].append(io.delta)
-        if index == self.num_blocks - 1:
-            rec.delta_l1, rec.delta_l2 = served_delta_stats(self._served)
-            self.trace.total_evals += rec.evals
-            rec.eval_total = self.trace.total_evals
-            if self.store_outputs:
-                self.trace.outputs.append(io.output)
-        return io.output
 
 
 def estimate_heavy_bytes(num_steps: int, num_blocks: int, elements: int) -> int:
@@ -168,7 +119,9 @@ def record_baseline(
     heavy: bool = False,
     store_outputs: Optional[bool] = None,
 ) -> RunTrace:
-    """Full-compute run through the sampler, recording a trace.
+    """Full-compute run through the sampler, recording a trace: the hook is a
+    ``SortblockEngine`` without a config, which computes every block of every
+    step (all labelled "full") and keeps no cache.
 
     ``store_outputs`` defaults to ``heavy``; the L1-curve analysis needs
     per-step model outputs, so cmd_analyze forces it on even in light mode.
@@ -182,7 +135,9 @@ def record_baseline(
                 f"heavy trace would need ~{est / 2**20:.0f} MiB "
                 f"(budget {HEAVY_TRACE_BYTE_BUDGET / 2**20:.0f} MiB)"
             )
-    recorder = _BaselineRecorder(net.num_blocks, heavy, store_outputs)
+    from .engine import SortblockEngine  # the engine module imports this one
+
+    recorder = SortblockEngine(None, net.num_blocks, heavy=heavy, store_outputs=store_outputs)
     t0 = time.perf_counter()
     final = sample(net, run, sched, hooks=recorder)
     recorder.trace.wall_time_s = time.perf_counter() - t0

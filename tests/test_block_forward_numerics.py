@@ -301,8 +301,9 @@ print((after - before) / latents)
 """
 
 # With one BLAS thread, as the benchmark runs, on a 2-vCPU x86-64 VM (glibc
-# 2.36, OpenBLAS 0.3.31), per latent over seeds 0-3: 220-230 with the
-# workspace-resident block forward and the engine's sweep buffers, 740-800
+# 2.36, OpenBLAS 0.3.31), per latent over seeds 0-3: 224-276 with the
+# workspace-resident block forward and the engine's per-run (N, tokens,
+# channels) cache stacks (168-224 with per-block cache arrays), 740-800
 # with per-call float64 kernel buffers, 22,000-36,000 with the 128 KiB float64
 # temporaries the kernels used to make.  Exact counts depend on the
 # allocator's heap history.

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sortblock.engine
 from sortblock import (
     BlockCacheEntry,
     ConfigError,
@@ -38,6 +40,20 @@ def _bits(scores):
 
 def _vec(*values):
     return np.array([list(values)], dtype=np.float32)
+
+
+def _reference_scores(engine, z):
+    """Per block, for the engine's current step: ``cosine_similarity`` of the
+    reference delta and ``linear_predict``'s prediction from the block's view
+    of the cache minus the prediction before it (``z`` for block 0)."""
+    k = engine.trace.steps[-1].step - engine.anchor_step
+    want, x = [], z
+    for i in range(engine.num_blocks):
+        prev = engine.prev_values[i] if engine.interval else None
+        p = linear_predict(BlockCacheEntry(engine.values[i], prev, engine.interval), k)
+        want.append(cosine_similarity(p - x, engine.ref_deltas[i].reshape(x.shape)))
+        x = p
+    return want
 
 
 # inf, NaN, signed zeros and values around the norm floor, beside any double
@@ -99,28 +115,28 @@ class TestCosineSimilarity:
 
 class TestLinearPredict:
     def test_zero_extrapolation_returns_value(self):
-        entry = BlockCacheEntry(_vec(5, 6), _vec(1, 2), 3, 10)
+        entry = BlockCacheEntry(_vec(5, 6), _vec(1, 2), 3)
         assert np.array_equal(linear_predict(entry, 0), entry.value)
 
     def test_two_step_slope(self):
-        entry = BlockCacheEntry(_vec(2.0), _vec(0.0), 2, 10)
+        entry = BlockCacheEntry(_vec(2.0), _vec(0.0), 2)
         assert np.array_equal(linear_predict(entry, 1), _vec(3.0))
 
     def test_exact_on_affine_trajectory(self):
         base = np.arange(6, dtype=np.float32).reshape(2, 3)
         slope = np.array([[1, -2, 3], [0, 4, -1]], dtype=np.float32)
         f = lambda s: base + np.float32(s) * slope
-        entry = BlockCacheEntry(f(10), f(5), 5, 10)
+        entry = BlockCacheEntry(f(10), f(5), 5)
         for k in range(0, 7):
             assert np.array_equal(linear_predict(entry, k), f(10 + k))
 
     def test_single_computation_degenerates_to_copy(self):
-        entry = BlockCacheEntry(_vec(4, 4), None, 0, 0)
+        entry = BlockCacheEntry(_vec(4, 4), None, 0)
         for k in (0, 1, 5):
             assert np.array_equal(linear_predict(entry, k), entry.value)
 
     def test_negative_k_rejected(self):
-        entry = BlockCacheEntry(_vec(1.0), _vec(0.0), 1, 0)
+        entry = BlockCacheEntry(_vec(1.0), _vec(0.0), 1)
         with pytest.raises(ConfigError):
             linear_predict(entry, -1)
 
@@ -137,9 +153,8 @@ class TestSelectBlocks:
         assert policy.flags == [0, 1, 1, 0]
 
     def test_scores_preserved(self):
-        policy = select_blocks([0.3, 0.1], 0.5, created_at_step=7)
+        policy = select_blocks([0.3, 0.1], 0.5)
         assert policy.scores == [0.3, 0.1]
-        assert policy.created_at_step == 7
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -216,25 +231,25 @@ class TestLifecyclePhases:
     def test_sweep_scores_are_cosine_similarity_bits(
         self, default_net, default_sched, default_run_factory, monkeypatch, seed, K, rho
     ):
-        """The ranking sweep scores in its own float64 buffers; every score is
-        still ``cosine_similarity`` of the predicted delta and the reference."""
+        """The ranking sweep predicts all blocks at once from the stacked
+        cache and scores them in its own buffers; every score is still
+        ``cosine_similarity`` of the one-block prediction ``linear_predict``
+        makes, minus the prediction before it, and the reference."""
         run = default_run_factory(seed)
         cfg = SortblockConfig(refresh_interval=K, rho=rho, window=inner_window(run.step_list, 0.8))
-        sweep = SortblockEngine._rank_and_select
+        predict_step = SortblockEngine._predict_step
         checked = []
 
-        def rank_and_check(engine, z):
-            want, x = [], z
-            for i in range(engine.num_blocks):
-                p, _ = engine._predict(i)
-                want.append(cosine_similarity(p - x, engine.ref_deltas[i]))
-                x = p
-            sweep(engine, z)
-            checked.append((engine._record.scores, want))
+        def predict_and_check(engine, z):
+            ranked = engine.trace.steps[-1].phase == "ranked"
+            want = _reference_scores(engine, z) if ranked else None
+            predict_step(engine, z)
+            if ranked:
+                checked.append((engine.trace.steps[-1].scores, want))
 
-        monkeypatch.setattr(SortblockEngine, "_rank_and_select", rank_and_check)
-        run_sortblock(default_net, run, default_sched, cfg)
-        assert checked
+        monkeypatch.setattr(SortblockEngine, "_predict_step", predict_and_check)
+        _, trace = run_sortblock(default_net, run, default_sched, cfg)
+        assert len(checked) == [r.phase for r in trace.steps].count("ranked") > 0
         for got, want in checked:
             assert _bits(got) == _bits(want)
 
@@ -261,11 +276,7 @@ class TestLifecyclePhases:
         with np.errstate(over="ignore", invalid="ignore"):
             serve(0, 900, z)
             serve(1, 880, z)
-            want, x = [], z
-            for i in range(6):
-                p = engine.entries[i].value
-                want.append(cosine_similarity(p - x, engine.ref_deltas[i]))
-                x = p
+            want = _reference_scores(engine, z)
         assert any(math.isnan(v) for v in want) and ZERO_DELTA_SIMILARITY in want
         assert _bits(engine.trace.steps[-1].scores) == _bits(want)
 
@@ -360,21 +371,34 @@ class TestComputeAccounting:
 
 
 class TestCacheCoherence:
-    def test_last_compute_step_tracks_actual_computes(
-        self, default_net, default_sched, default_run_factory, default_window
+    @pytest.mark.parametrize("window", [None, (999, 300)], ids=["inner-window", "from-step-0"])
+    def test_anchor_and_interval_follow_compute_everything_steps(
+        self, default_net, default_sched, default_run_factory, default_window, window
     ):
+        """Before every step and after the last, the cache's anchor is the
+        last compute-everything (full or outside) step and its interval the
+        distance to the one before (0 while there is only one)."""
         run = default_run_factory(0)
-        cfg = SortblockConfig(refresh_interval=5, rho=0.3, window=default_window)
+        cfg = SortblockConfig(refresh_interval=5, rho=0.3, window=window or default_window)
         engine = SortblockEngine(cfg, default_net.num_blocks)
+        seen = []
+        begin_step = engine.begin_step
+
+        def record_then_begin(step_index, t):
+            seen.append((engine.anchor_step, engine.interval))
+            begin_step(step_index, t)
+
+        engine.begin_step = record_then_begin
         sample(default_net, run, default_sched, hooks=engine)
-        last_computed = [-1] * default_net.num_blocks
-        for rec in engine.trace.steps:
-            for b, flag in enumerate(rec.flags):
-                if flag:
-                    last_computed[b] = rec.step
-        for b, entry in enumerate(engine.entries):
-            assert entry is not None
-            assert entry.last_compute_step == last_computed[b]
+        seen.append((engine.anchor_step, engine.interval))
+        anchors = []
+        for i, state in enumerate(seen):
+            want_anchor = anchors[-1] if anchors else None
+            want_interval = anchors[-1] - anchors[-2] if len(anchors) > 1 else 0
+            assert state == (want_anchor, want_interval), f"before step {i}"
+            if i < len(engine.trace.steps) and engine.trace.steps[i].phase in ("full", "outside"):
+                assert engine.trace.steps[i].flags == [1] * default_net.num_blocks
+                anchors.append(i)
 
     def test_slope_pairs_anchor_on_full_steps(
         self, default_net, default_sched, default_run_factory, default_window
@@ -383,11 +407,10 @@ class TestCacheCoherence:
         cfg = SortblockConfig(refresh_interval=5, rho=0.3, window=default_window)
         engine = SortblockEngine(cfg, default_net.num_blocks)
         sample(default_net, run, default_sched, hooks=engine)
-        # the run ends with outside steps: every entry's interval is the gap
-        # between the last two full computations (consecutive outside steps)
-        for entry in engine.entries:
-            assert entry.interval == 1
-            assert entry.prev_value is not None
+        # the run ends with outside steps: the interval is the gap between the
+        # last two full computations (consecutive outside steps)
+        assert engine.interval == 1
+        assert engine.anchor_step == len(run.step_list) - 1
 
 
 class TestPolicyReplay:
@@ -473,6 +496,44 @@ except SortblockError as exc:
 else:
     sys.exit("no error raised")
 """
+
+
+class TestEngineAllocation:
+    def test_warm_ranked_and_follow_steps_allocate_no_block_row(self, monkeypatch):
+        """A warm ranked step (prediction, ranking sweep, serving) and a warm
+        follow step allocate nothing the size of one block row in the
+        engine's own code: predictions, slopes and sweep operands live in the
+        engine's stacks.  The blocks are a stub that hands out preallocated
+        arrays, and the per-step trace statistics (``served_delta_stats``,
+        which widens one row at a time) are stubbed out too."""
+        n, shape = 12, (64, 64)
+        rng = np.random.default_rng(0)
+        outputs = [rng.standard_normal(shape).astype(np.float32) for _ in range(n)]
+        deltas = [rng.standard_normal(shape).astype(np.float32) for _ in range(n)]
+        z = rng.standard_normal(shape).astype(np.float32)
+        monkeypatch.setattr(sortblock.engine, "served_delta_stats", lambda stack: ([], []))
+        engine = SortblockEngine(SortblockConfig(refresh_interval=5, rho=0.3, window=(900, 100)), n)
+
+        def step(index, t):
+            engine.begin_step(index, t)
+            x = z
+            for b in range(n):
+                x = engine(b, x, lambda b=b, x=x: BlockIO(input=x, output=outputs[b], delta=deltas[b]))
+
+        # outside, full, ranked, 3 x follow, full: the next ranked step is warm
+        timesteps = [950, 900, 880, 860, 840, 820, 800, 780, 760]
+        for index, t in enumerate(timesteps[:7]):
+            step(index, t)
+        for index in (7, 8):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                step(index, timesteps[index])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert engine.trace.steps[-1].phase == ("ranked", "follow")[index - 7]
+            assert peak - before < z.nbytes, engine.trace.steps[-1].phase
 
 
 class TestColdCacheWindow:
