@@ -46,10 +46,8 @@ from .numerics import (
     Matrix,
     Polynomial,
     Rng,
-    as_matrix,
     gelu,
     layer_norm,
-    matmul,
     mix64,
     poly_eval,
     polyfit,

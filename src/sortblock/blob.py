@@ -3,11 +3,15 @@
 Layout: 16-byte magic, little-endian uint32 header length, UTF-8 JSON header
 {"shape", "dtype": "f32le", "seed", "config_hash"}, then the raw row-major
 float32 payload.  Bit-exact comparisons in tests read these files directly.
+
+Blobs (and ratio policies) are written atomically (``write_atomic``): a
+reader sees the old file or the whole new one, never a torn write.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -18,6 +22,43 @@ from .errors import ParseError
 MAGIC = b"SORTBLOCK-LATENT"
 
 
+def write_atomic(path, parts) -> None:
+    """Write the bytes-like ``parts``, in order, to ``path`` atomically.
+
+    They go to a new temporary file in the destination directory (created
+    with ``O_EXCL``, so it is never another writer's), which ``os.replace``
+    then renames over ``path``.  On any error the temporary is removed and
+    an existing ``path`` is left as it was.  There is no fsync: the write is
+    atomic for readers and against the writer failing part way, not against
+    a power loss.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    for attempt in range(100):
+        tmp = os.path.join(directory, f".{name}.{os.getpid()}.{attempt}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(f"{path}: no free temporary name next to it")
+    try:
+        try:
+            for part in parts:
+                view = memoryview(part)
+                while view:
+                    view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
 def write_latent(path, latent: np.ndarray, seed: int, config_hash: str) -> None:
     header = {
         "shape": list(latent.shape),
@@ -26,11 +67,8 @@ def write_latent(path, latent: np.ndarray, seed: int, config_hash: str) -> None:
         "config_hash": config_hash,
     }
     header_bytes = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(latent.astype("<f4").tobytes(order="C"))
+    payload = latent.astype("<f4").tobytes(order="C")
+    write_atomic(path, (MAGIC, struct.pack("<I", len(header_bytes)), header_bytes, payload))
 
 
 def read_latent(path) -> tuple[np.ndarray, dict]:

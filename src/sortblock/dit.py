@@ -28,11 +28,11 @@ from .errors import ConfigError, ShapeError
 from .numerics import (
     Matrix,
     Rng,
+    _standard_normal_into,
     gelu_into,
     layer_norm_into,
     mix64,
     softmax_rows_into,
-    standard_normal,
 )
 
 LN_EPS = 1e-5
@@ -91,12 +91,18 @@ class BlockIO:
     delta: Matrix  # output - input, computed in the same float32 arithmetic
 
 
+@lru_cache(maxsize=8)
 def _embedding_freqs(d_emb: int) -> np.ndarray:
+    """Frequencies of the sinusoidal embedding, (d_emb // 2,) float64,
+    computed once per d_emb; read-only."""
     half = d_emb // 2
     if half >= 2:
         exponents = np.arange(half, dtype=np.float64) / (half - 1)
-        return 10000.0 ** (-exponents)
-    return np.ones(max(half, 0), dtype=np.float64)
+        freqs = 10000.0 ** (-exponents)
+    else:
+        freqs = np.ones(max(half, 0), dtype=np.float64)
+    freqs.flags.writeable = False
+    return freqs
 
 
 def timestep_embedding(t: float, d_emb: int) -> Matrix:
@@ -117,42 +123,57 @@ def timestep_embedding(t: float, d_emb: int) -> Matrix:
     return emb.astype(np.float32).reshape(1, d_emb)
 
 
+@lru_cache(maxsize=8)
 def _conditioning_lowpass(d_emb: int) -> np.ndarray:
-    """Per-row damping of the conditioning projection (column vector)."""
+    """Per-row damping of the conditioning projection (column vector),
+    computed once per d_emb; read-only."""
     freqs = _embedding_freqs(d_emb)
     weights = 1.0 / (1.0 + (freqs * TEMPORAL_SMOOTHING) ** 2)
     row = np.ones(d_emb, dtype=np.float64)
     half = d_emb // 2
     row[:half] = weights
     row[half : 2 * half] = weights
-    return row.astype(np.float32).reshape(d_emb, 1)
+    column = row.astype(np.float32).reshape(d_emb, 1)
+    column.flags.writeable = False
+    return column
 
 
-def _init_block_weights(seed: int, d: int, mlp_ratio: int, d_emb: int) -> BlockWeights:
-    # draw order is fixed: wq, wk, wv, wo, w1, w2, wt
-    rng = Rng(seed)
-    scale = np.float32(1.0 / math.sqrt(d))
+def _init_block_weights(
+    storage: np.ndarray, shapes: tuple[tuple[int, int], ...], d: int, d_emb: int
+) -> BlockWeights:
+    """One block's weights as views of ``storage``, which holds the block's
+    normal draws: each matrix's ``standard_normal`` draws in turn (an
+    odd-sized matrix draws and drops one more), scaled by 1/sqrt(d) in
+    float32, then wo and w2 by the branch gain and wt by the conditioning
+    low-pass, in place."""
+    storage *= np.float32(1.0 / math.sqrt(d))
+    views, offset = [], 0
+    for rows, cols in shapes:
+        views.append(storage[offset : offset + rows * cols].reshape(rows, cols))
+        offset += 2 * ((rows * cols + 1) // 2)
+    wq, wk, wv, wo, w1, w2, wt = views
     gain = np.float32(BRANCH_GAIN)
-    draw = lambda r, c: standard_normal(rng, r, c) * scale
-    return BlockWeights(
-        wq=draw(d, d),
-        wk=draw(d, d),
-        wv=draw(d, d),
-        wo=draw(d, d) * gain,
-        w1=draw(d, mlp_ratio * d),
-        w2=draw(mlp_ratio * d, d) * gain,
-        wt=draw(d_emb, d) * _conditioning_lowpass(d_emb),
-    )
+    wo *= gain
+    w2 *= gain
+    wt *= _conditioning_lowpass(d_emb)
+    return BlockWeights(wq=wq, wk=wk, wv=wv, wo=wo, w1=w1, w2=w2, wt=wt)
 
 
 @lru_cache(maxsize=8)
 def _weights_for_config(cfg: DitConfig) -> tuple[BlockWeights, ...]:
-    # block i gets the sub-seed cfg.seed XOR mix64(i + 1); weights are immutable
-    # and shared between Network instances for the same config
-    return tuple(
-        _init_block_weights(cfg.seed ^ mix64(i + 1), cfg.channels, cfg.mlp_ratio, cfg.channels)
-        for i in range(cfg.num_blocks)
+    # block i draws from Rng(cfg.seed XOR mix64(i + 1)), as one stream into one
+    # float32 buffer; the blocks' streams are generated together, so the lane
+    # chunks are full across block boundaries.  Weights are immutable and
+    # shared between Network instances for the same config
+    d = d_emb = cfg.channels
+    h = cfg.mlp_ratio * d
+    shapes = ((d, d), (d, d), (d, d), (d, d), (d, h), (h, d), (d_emb, d))  # wq .. wt
+    count = sum(2 * ((rows * cols + 1) // 2) for rows, cols in shapes)
+    storages = [np.empty(-(-count // 16) * 16, dtype=np.float32) for _ in range(cfg.num_blocks)]
+    _standard_normal_into(
+        [(Rng(cfg.seed ^ mix64(i + 1)), storage, count) for i, storage in enumerate(storages)]
     )
+    return tuple(_init_block_weights(storage, shapes, d, d_emb) for storage in storages)
 
 
 class _BlockWorkspace:

@@ -26,12 +26,19 @@ buffers follow one more rule: nothing of 128 KiB or more is allocated or
 freed per block eval or per run.  128 KiB is glibc's mmap and trim
 threshold: a chain of float64 temporaries of that size (one 64x256
 activation) made the allocator return pages to the kernel and fault them in
-again on every block eval, which cost more than the arithmetic.
+again on every block eval, which cost more than the arithmetic.  The
+weight init, which every process runs before it times anything, frees no
+temporary larger than 128 KiB (one 16,384-element uint64 or float64 work
+buffer), so it leaves glibc's dynamic mmap and trim thresholds where they
+were: freeing a larger mmapped block would raise them for the rest of the
+process.  Only what it keeps, the weights and the jump table, is larger.
 
 The generator (``Rng``) is xorshift64*, whose state step is linear over GF(2).
-``Rng.fill_u64`` uses that to jump lanes ahead and draw 16 values per lane in
-parallel numpy arithmetic; the stream, every weight byte and every latent
-are those of the one-draw-at-a-time loop (see the class docstring).
+``Rng.fill_u64`` and ``standard_normal`` use that to jump lanes ahead and
+draw 16 values per lane in parallel numpy arithmetic, from a jump table
+built once per process with byte lookup tables ("four Russians"); the
+stream, every weight byte and every latent are those of the
+one-draw-at-a-time loop (see the class docstring).
 """
 
 from __future__ import annotations
@@ -68,44 +75,63 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-# fill_u64 lanes: lane l makes draws _LANE_RUN*l .. _LANE_RUN*l + _LANE_RUN-1;
-# longer fills run in chunks of _MAX_LANES lanes, which bounds the jump table
+# lanes: lane l makes draws _LANE_RUN*l .. _LANE_RUN*l + _LANE_RUN-1; fills
+# run in chunks of at most _MAX_LANES lanes (16,384 draws), which bounds the
+# jump table and keeps every uint64 or float64 work buffer at 128 KiB
 _LANE_RUN = 16
 _MAX_LANES = 1024
+
+_SHIFT_12, _SHIFT_25, _SHIFT_27 = np.uint64(12), np.uint64(25), np.uint64(27)
 
 
 def _xorshift_step(s: np.ndarray, tmp: np.ndarray) -> None:
     """One xorshift64 state step T, in place on a uint64 array."""
-    np.right_shift(s, 12, out=tmp)
+    np.right_shift(s, _SHIFT_12, tmp)
     s ^= tmp
-    np.left_shift(s, 25, out=tmp)
+    np.left_shift(s, _SHIFT_25, tmp)
     s ^= tmp
-    np.right_shift(s, 27, out=tmp)
+    np.right_shift(s, _SHIFT_27, tmp)
     s ^= tmp
 
 
-def _gf2_apply(images: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-    """Write to ``out`` the GF(2) linear map with basis images ``images`` (64,)
-    applied to every element of the uint64 array ``v``, one bit position at a
-    time."""
-    out[...] = 0
-    bit = np.empty_like(v)
-    for b in range(64):
-        np.right_shift(v, b, out=bit)
-        bit &= 1
-        bit *= images[b]
-        out ^= bit
+# the memory position of each byte of a uint64, least significant first
+_BYTE_POSITIONS = range(8) if np.little_endian else range(7, -1, -1)
+
+
+def _byte_tables(images: np.ndarray) -> np.ndarray:
+    """(8, 256) uint64 for the GF(2) linear map with basis images ``images``
+    (64,): entry [k, v] is the image of ``v << 8k``, the XOR of the images of
+    byte k's set bits, built by doubling over the bits of v."""
+    tables = np.zeros((8, 256), dtype=np.uint64)
+    per_byte = images.reshape(8, 8)
+    for i in range(8):
+        np.bitwise_xor(tables[:, : 1 << i], per_byte[:, i : i + 1], out=tables[:, 1 << i : 2 << i])
+    return tables
+
+
+def _gf2_apply(tables: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out`` (not aliasing ``v``) the linear map with byte tables
+    ``tables`` (see ``_byte_tables``) applied to every element of the uint64
+    array ``v``, whose last axis is contiguous: one gather and XOR per byte
+    (the "four Russians" method)."""
+    octets = v.view(np.uint8).reshape(v.shape + (8,))
+    for k, position in enumerate(_BYTE_POSITIONS):
+        image = tables[k].take(octets[..., position])
+        if k:
+            out ^= image
+        else:
+            out[...] = image
 
 
 @functools.cache
 def _jump_table() -> np.ndarray:
     """(64, _MAX_LANES) uint64: column l holds the images of the basis vectors
     1 << b (row b) under T^(_LANE_RUN*l).  Built by doubling: with the first
-    n columns and the images under T^(R*n) known, T^(R*(n+l)) =
-    T^(R*n) o T^(R*l) gives the next n columns, and T^(R*n) squares.  The
-    columns are mapped a few rows at a time: a freed temporary of 128 KiB or
-    more would raise glibc's dynamic mmap and trim thresholds for the rest of
-    the process (see the module docstring)."""
+    n columns and the byte tables of J = T^(R*n) known, T^(R*(n+l)) =
+    J o T^(R*l) gives the next n columns, and J squares by mapping its own
+    images.  The columns are mapped a few rows at a time, so no temporary
+    outgrows 64 KiB (the allocator rule in the module docstring).
+    Read-only."""
     columns = np.empty((64, _MAX_LANES), dtype=np.uint64)
     columns[:, 0] = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
     jump = columns[:, 0].copy()
@@ -114,11 +140,12 @@ def _jump_table() -> np.ndarray:
         _xorshift_step(jump, tmp)
     n = 1
     while n < _MAX_LANES:
+        tables = _byte_tables(jump)
         rows = min(64, max(1, 8192 // n))
         for r in range(0, 64, rows):
-            _gf2_apply(jump, columns[r : r + rows, :n], columns[r : r + rows, n : 2 * n])
-        square = jump.copy()
-        _gf2_apply(square, square, jump)
+            _gf2_apply(tables, columns[r : r + rows, :n], columns[r : r + rows, n : 2 * n])
+        _gf2_apply(tables, jump, tmp)
+        jump, tmp = tmp, jump
         n *= 2
     columns.flags.writeable = False
     return columns
@@ -131,16 +158,19 @@ class Rng:
     above so any run is reproducible within this implementation; bit-exactness
     across other implementations is not a goal.
 
-    ``fill_u64`` returns the same draws as ``count`` calls of ``next_u64`` and
-    leaves the same state behind, but generates them in numpy lanes: lane l
-    makes draws ``16*l .. 16*l + 15`` from its own start state, and all lanes
-    step together as uint64 arrays.  The state step T (three shift-xors) is
-    linear over GF(2), so T^(16*l) is a 64x64 bit matrix: lane l starts at the
-    XOR of the images of the current state's set bits under it, read from a
-    cached jump table.  The output multiply acts on each stepped state and
-    never feeds back into the state, so it is applied afterwards to all
-    draws at once.  The table holds 1024 lanes (64 x 1024 uint64, 512 KiB,
-    built once per process); longer fills run in chunks of 16,384 draws.
+    ``fill_u64`` and ``standard_normal`` return the draws of ``next_u64``
+    calls and leave the same state behind, but generate them in numpy lanes:
+    lane l makes draws ``16*l .. 16*l + 15`` from its own start state, and all
+    lanes step together as uint64 arrays, one array per step.  The state step
+    T (three shift-xors) is linear over GF(2), so T^(16*l) is a 64x64 bit
+    matrix: lane l starts at the XOR of the images of the current state's set
+    bits under it, gathered from a cached jump table.  The output multiply
+    acts on each stepped state and never feeds back into the state, so it is
+    applied afterwards to all draws at once.  The table holds 1024 lanes
+    (64 x 1024 uint64, 512 KiB, built once per process from byte lookup
+    tables, see ``_jump_table``); longer fills run in chunks of 16,384 draws,
+    so no work buffer, the weight init's included, outgrows 128 KiB (the
+    allocator rule in the module docstring).
     """
 
     def __init__(self, seed: int):
@@ -164,68 +194,138 @@ class Rng:
         """Next `count` raw draws as a uint64 array (exact; see the class
         docstring for the lane layout)."""
         count = max(count, 0)
-        lanes = -(-count // _LANE_RUN)
-        raw = np.empty((lanes, _LANE_RUN), dtype=np.uint64)
-        for first in range(0, lanes, _MAX_LANES):
-            chunk = raw[first : first + _MAX_LANES]
-            state_bits = np.unpackbits(
-                np.array([self._state], dtype="<u8").view(np.uint8), bitorder="little"
-            ).view(bool)
-            s = np.bitwise_xor.reduce(
-                _jump_table()[:, : len(chunk)], axis=0, where=state_bits[:, None]
-            )
-            tmp = np.empty_like(s)
-            for j in range(_LANE_RUN):
-                _xorshift_step(s, tmp)
-                chunk[:, j] = s
-            self._state = int(chunk[-1, -1])
-        draws = raw.reshape(-1)[:count]
-        if count:
-            self._state = int(draws[-1])  # the last lane may run past `count`
+        raw = np.empty((-(-count // _LANE_RUN), _LANE_RUN // 2, 2), dtype=np.uint64)
+        for states, pieces in _lane_chunks([(self, count)]):
+            for _, lo, hi, first in pieces:
+                lane = first // _LANE_RUN
+                raw[lane : lane + hi - lo] = states[:, :, lo:hi].T
         raw *= np.uint64(_XS64_MUL)
-        return draws
+        return raw.reshape(-1)[:count]
+
+
+def _lane_chunks(streams):
+    """Generate the next ``count`` states of each ``(rng, count)`` in
+    ``streams``, the streams back to back, each padded to whole lanes, in
+    chunks of at most 1024 lanes, and advance each generator by ``count``.
+
+    Yields ``(states, pieces)`` per chunk.  ``states`` is a (2, 8, lanes)
+    uint64 view of one work buffer, overwritten by the next chunk:
+    ``states[p, k, l]`` is the state of draw ``16*l + 2*k + p`` of its lane,
+    before the output multiply, so each step writes one contiguous row and
+    the first and second draws of all pairs are contiguous halves.
+    ``pieces`` lists ``(i, lo, hi, first)``: lanes ``lo .. hi - 1`` make
+    draws ``first ..`` of stream i.  States past a stream's count are
+    scratch.
+    """
+    lane_counts = [-(-max(count, 0) // _LANE_RUN) for _, count in streams]
+    total = sum(lane_counts)
+    buf = np.empty(min(total, _MAX_LANES) * _LANE_RUN, dtype=np.uint64)
+    step = np.empty(min(total, _MAX_LANES), dtype=np.uint64)
+    table = _jump_table()
+    stream, done = 0, 0  # lanes of streams[stream] made so far
+    for chunk_first in range(0, total, _MAX_LANES):
+        lanes = min(_MAX_LANES, total - chunk_first)
+        states = buf[: _LANE_RUN * lanes].reshape(2, _LANE_RUN // 2, lanes)
+        pieces = []
+        lo = 0
+        while lo < lanes:
+            while done == lane_counts[stream]:
+                stream, done = stream + 1, 0
+            hi = lo + min(lanes - lo, lane_counts[stream] - done)
+            pieces.append((stream, lo, hi, _LANE_RUN * done))
+            # the lanes' starts: the XOR of the set bits' table rows,
+            # gathered 16 rows (at most 128 KiB) at a time
+            start = states[0, 0, lo:hi]
+            rows = table[:, : hi - lo]
+            state = streams[stream][0]._state
+            bits = [b for b in range(64) if state >> b & 1]
+            np.bitwise_xor.reduce(rows[bits[:16]], axis=0, out=start)
+            for first in range(16, len(bits), 16):
+                start ^= np.bitwise_xor.reduce(rows[bits[first : first + 16]], axis=0)
+            done += hi - lo
+            lo = hi
+        tmp = step[:lanes]
+        prev = states[0, 0]
+        _xorshift_step(prev, tmp)
+        for j in range(1, _LANE_RUN):
+            row = states[j % 2, j // 2]
+            np.right_shift(prev, _SHIFT_12, tmp)
+            np.bitwise_xor(prev, tmp, row)
+            np.left_shift(row, _SHIFT_25, tmp)
+            row ^= tmp
+            np.right_shift(row, _SHIFT_27, tmp)
+            row ^= tmp
+            prev = row
+        for i, lo, hi, first in pieces:
+            j = min(_LANE_RUN * (hi - lo), streams[i][1] - first) - 1  # its last draw
+            streams[i][0]._state = int(states[j % 2, j % _LANE_RUN // 2, lo + j // _LANE_RUN])
+        yield states, pieces
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _standard_normal_into(draws) -> None:
+    """For each ``(rng, out, count)`` in ``draws`` (count even), write
+    ``count`` N(0,1) draws to ``out[:count]``, a 1-D float32 array of at
+    least ``count`` rounded up to a multiple of 16 (the slack is scratch),
+    consuming ``count`` draws of ``rng``.
+
+    Box-Muller per pair of draws, with the rounding ``standard_normal``
+    documents, one chunk of up to 16,384 draws at a time, the generators
+    back to back (``_lane_chunks``), in work buffers of at most 128 KiB:
+    u1 and u2 are contiguous float64 halves, each of log/sqrt/cos/sin runs
+    on a contiguous array, and the float64 products are rounded to float32
+    as they are written to ``out``.
+    """
+    work = cos = None
+    for states, pieces in _lane_chunks([(rng, count) for rng, _, count in draws]):
+        if work is None:
+            work = np.empty(states.size, dtype=np.float64)
+            cos = np.empty(states.size // 2, dtype=np.float64)
+        states *= np.uint64(_XS64_MUL)
+        states >>= np.uint64(11)
+        states[0] += np.uint64(1)
+        # at most 2^53, so exact as int64 and as float64; scaling by 2^-53 is
+        # exact too, the same bits as dividing by 2^53
+        u = work[: states.size].reshape(states.shape)
+        np.multiply(states.view(np.int64), 2.0**-53, out=u)
+        u1, u2 = u  # (0, 1] and [0, 1)
+        np.log(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)  # r
+        u2 *= _TWO_PI  # theta
+        c = cos[: u2.size].reshape(u2.shape)
+        np.cos(u2, out=c)
+        np.sin(u2, out=u2)
+        for i, lo, hi, first in pieces:
+            out = draws[i][1][first : first + _LANE_RUN * (hi - lo)]
+            pairs = out.reshape(hi - lo, _LANE_RUN // 2, 2).T
+            np.multiply(u1[:, lo:hi], c[:, lo:hi], out=pairs[0])
+            np.multiply(u1[:, lo:hi], u2[:, lo:hi], out=pairs[1])
 
 
 def standard_normal(rng: Rng, rows: int, cols: int) -> Matrix:
     """(rows x cols) float32 matrix of i.i.d. N(0,1) draws via Box-Muller.
 
     Consumes two uniforms per pair of outputs, in a fixed order, so the
-    sequence is fully determined by the generator state.
+    sequence is fully determined by the generator state.  From the draws
+    (a, b) of a pair, ``u1 = ((a >> 11) + 1) / 2^53`` and
+    ``u2 = (b >> 11) / 2^53``, ``r = sqrt(-2 * log(u1))`` and
+    ``theta = 2*pi * u2`` in float64; the pair is ``r * cos(theta)``,
+    ``r * sin(theta)``, each rounded to float32.  An odd count drops the
+    last sine.
     """
     n = rows * cols
-    pairs = (n + 1) // 2
-    raw = rng.fill_u64(2 * pairs)
-    scale = float(1 << 53)
-    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) / scale  # (0, 1]
-    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) / scale  # [0, 1)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * math.pi) * u2
-    out = np.empty(2 * pairs, dtype=np.float64)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
-    return out[:n].astype(np.float32).reshape(rows, cols)
-
-
-def as_matrix(values) -> Matrix:
-    """Coerce nested lists / arrays to a 2-D float32 matrix."""
-    m = np.asarray(values, dtype=np.float32)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return np.ascontiguousarray(m)
+    count = 2 * ((n + 1) // 2)
+    out = np.empty(-(-count // _LANE_RUN) * _LANE_RUN, dtype=np.float32)
+    _standard_normal_into([(rng, out, count)])
+    return out[:n].reshape(rows, cols)
 
 
 def _require_2d(name: str, m: np.ndarray) -> None:
     if not isinstance(m, np.ndarray) or m.ndim != 2:
         raise ShapeError(f"{name} must be a 2-D array")
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product with a shape check."""
-    _require_2d("a", a)
-    _require_2d("b", b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ ({a.shape} x {b.shape})")
-    return a @ b
 
 
 def layer_norm(x: Matrix, eps: float = 1e-5) -> Matrix:

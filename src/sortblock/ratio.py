@@ -119,7 +119,9 @@ def save_policy(policy: RatioPolicy, path) -> None:
         "t_min": policy.t_min,
         "t_max": policy.t_max,
     }
-    Path(path).write_text(json.dumps(doc, indent=1))
+    from .blob import write_atomic  # imported on use: ``import sortblock`` does not load blob
+
+    write_atomic(path, (json.dumps(doc, indent=1).encode("utf-8"),))
 
 
 def load_policy(path) -> RatioPolicy:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -114,3 +117,19 @@ def affine_setup():
     sched = make_schedule(1000)
     step_list = tuple(range(980, 0, -20))  # 49 steps, stride 20, ends at 20
     return net, sched, step_list
+
+
+@pytest.fixture()
+def write_failing_part_way():
+    """A stand-in for ``os.write`` that writes half of its first buffer and
+    then fails with ENOSPC: a file write that stops part way through."""
+    real_write = os.write
+    calls = []
+
+    def write(fd, data):
+        calls.append(fd)
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(fd, bytes(data[: max(len(data) // 2, 1)]))
+
+    return write

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -356,3 +357,37 @@ class TestBlob:
 
         with pytest.raises(ParseError):
             blob.read_latent(path)
+
+    def test_write_failing_part_way_keeps_old_file(self, tmp_path, monkeypatch, write_failing_part_way):
+        path = tmp_path / "x.bin"
+        blob.write_latent(path, np.zeros((4, 4), dtype=np.float32), seed=0, config_hash="h")
+        old = path.read_bytes()
+        with monkeypatch.context() as m:
+            m.setattr(os, "write", write_failing_part_way)
+            with pytest.raises(OSError, match="No space left"):
+                blob.write_latent(path, np.ones((8, 8), dtype=np.float32), seed=1, config_hash="h")
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+
+    def test_failing_rename_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.bin"
+        blob.write_latent(path, np.zeros((4, 4), dtype=np.float32), seed=0, config_hash="h")
+        old = path.read_bytes()
+
+        def refuse(src, dst):
+            raise PermissionError("rename refused")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", refuse)
+            with pytest.raises(PermissionError):
+                blob.write_latent(path, np.ones((8, 8), dtype=np.float32), seed=1, config_hash="h")
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+
+    def test_write_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "x.bin"
+        for seed in range(3):
+            blob.write_latent(path, np.full((4, 4), seed, dtype=np.float32), seed=seed, config_hash="h")
+        assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+        assert blob.read_latent(path)[1]["seed"] == 2
+

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,14 @@ from sortblock import (
     standard_normal,
     timestep_embedding,
 )
-from sortblock.dit import BlockWeights, Network
+from sortblock.dit import (
+    BRANCH_GAIN,
+    BlockWeights,
+    Network,
+    _conditioning_lowpass,
+    _embedding_freqs,
+)
+from sortblock.numerics import mix64
 from sortblock.errors import ConfigError
 
 
@@ -48,6 +56,50 @@ class TestInitNetwork:
             DitConfig(num_blocks=1)
         with pytest.raises(ConfigError):
             DitConfig(channels=0)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            DitConfig(num_blocks=2, num_tokens=4, channels=3, mlp_ratio=1, seed=5),
+            DitConfig(num_blocks=3, num_tokens=4, channels=5, mlp_ratio=3, seed=9),
+            DitConfig(num_blocks=5, num_tokens=4, channels=7, mlp_ratio=2, seed=2**40 + 1),
+            DitConfig(num_blocks=2, num_tokens=4, channels=130, mlp_ratio=2, seed=3),
+        ],
+        ids=["odd-3", "odd-5", "odd-7", "chunk-spanning-130"],
+    )
+    def test_weights_match_per_matrix_draws(self, cfg):
+        """Each block's weights are ``standard_normal`` of each matrix in
+        turn, scaled as documented, also where a matrix has an odd size or a
+        block's stream spans fill chunks."""
+        d, h = cfg.channels, cfg.mlp_ratio * cfg.channels
+        scale, gain = np.float32(1.0 / math.sqrt(d)), np.float32(BRANCH_GAIN)
+        for i, got in enumerate(init_network(cfg).blocks):
+            rng = Rng(cfg.seed ^ mix64(i + 1))
+            draw = lambda r, c: standard_normal(rng, r, c) * scale
+            want = (draw(d, d), draw(d, d), draw(d, d), draw(d, d) * gain,
+                    draw(d, h), draw(h, d) * gain, draw(d, d) * _conditioning_lowpass(d))
+            for name, w in zip(("wq", "wk", "wv", "wo", "w1", "w2", "wt"), want):
+                assert getattr(got, name).tobytes() == w.tobytes(), name
+
+    def test_per_width_arrays_are_computed_once_and_read_only(self):
+        for fn in (_embedding_freqs, _conditioning_lowpass):
+            assert fn(64) is fn(64)
+            with pytest.raises(ValueError):
+                fn(64)[0] = 0.0
+
+    def test_fresh_init_peaks_at_most_256_kib_above_what_it_keeps(self):
+        """A fresh init's temporaries stay small: it frees no buffer larger
+        than 128 KiB (see the numerics module docstring), and the working
+        set on top of what it keeps stays under 256 KiB."""
+        cfg = DitConfig(seed=0x5EED_1417)  # not built by any other test
+        tracemalloc.start()
+        try:
+            net = init_network(cfg)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(net.blocks) == cfg.num_blocks
+        assert peak - kept <= 256 * 1024
 
 
 class TestTimestepEmbedding:

@@ -413,6 +413,19 @@ class TestCacheCoherence:
         assert engine.anchor_step == len(run.step_list) - 1
 
 
+def _replay_comparable(trace) -> dict:
+    """``trace.to_dict()`` without what a replay changes by design: the wall
+    time, the ranked steps' scores (a replay ranks nothing) and the
+    ``replayed_policy`` config flag."""
+    doc = trace.to_dict()
+    del doc["wall_time_s"]
+    doc["config"] = {k: v for k, v in doc["config"].items() if k != "replayed_policy"}
+    for rec in doc["steps"]:
+        if rec["phase"] == "ranked":
+            rec["scores"] = None
+    return doc
+
+
 class TestPolicyReplay:
     def test_replayed_flags_reproduce_run(
         self, default_net, default_sched, default_run_factory, default_window
@@ -429,6 +442,25 @@ class TestPolicyReplay:
         for rec in replay_trace.steps:
             if rec.phase == "ranked":
                 assert rec.scores is None  # replayed decisions carry no scores
+        # the final latent can be blind to the cached decisions, so the
+        # decisions themselves are compared: every step record is the same
+        assert _replay_comparable(replay_trace) == _replay_comparable(trace)
+
+    def test_flipped_ranked_flags_change_the_trace(
+        self, default_net, default_sched, default_run_factory, default_window
+    ):
+        run = default_run_factory(0)
+        cfg = SortblockConfig(refresh_interval=5, rho=0.3, window=default_window)
+        _, trace = run_sortblock(default_net, run, default_sched, cfg)
+        override = trace.ranked_flag_schedule()
+        step = min(override)
+        recomputed = override[step].index(1)
+        skipped = override[step].index(0)
+        override[step][recomputed], override[step][skipped] = 0, 1  # the same quota
+        _, flipped = run_sortblock(default_net, run, default_sched, cfg, policy_override=override)
+        assert flipped.steps[step].flags == override[step]
+        assert flipped.total_evals == trace.total_evals
+        assert _replay_comparable(flipped) != _replay_comparable(trace)
 
     def test_missing_override_entry_raises(
         self, default_net, default_sched, default_run_factory, default_window

@@ -10,58 +10,28 @@ from sortblock import (
     FitError,
     Polynomial,
     Rng,
-    ShapeError,
-    as_matrix,
     gelu,
     layer_norm,
     make_run,
     make_schedule,
-    matmul,
     poly_eval,
     polyfit,
     softmax_rows,
     standard_normal,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = as_matrix([[1, 2], [3, 4]])
-        assert np.array_equal(matmul(as_matrix(np.eye(2)), m), m)
-
-    def test_hand_computed_product(self):
-        a = as_matrix([[1, 2], [3, 4]])
-        b = as_matrix([[5, 6], [7, 8]])
-        assert np.allclose(matmul(a, b), [[19, 22], [43, 50]])
-
-    def test_zero_case(self):
-        assert np.array_equal(matmul(as_matrix([[0, 0]]), as_matrix([[1], [1]])), [[0.0]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(as_matrix([[1, 2]]), as_matrix([[1, 2]]))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32))
-    def test_associativity_on_random_triples(self, seed):
-        rng = Rng(seed)
-        a, b, c = (standard_normal(rng, 4, 4) for _ in range(3))
-        left = matmul(matmul(a, b), c).astype(np.float64)
-        right = matmul(a, matmul(b, c)).astype(np.float64)
-        scale = max(np.abs(left).max(), 1e-6)
-        assert np.abs(left - right).max() / scale < 1e-4
+from sortblock.numerics import _jump_table
 
 
 class TestLayerNorm:
     def test_constant_row_maps_to_zeros(self):
-        out = layer_norm(as_matrix([[1, 1, 1]]), eps=1e-5)
+        out = layer_norm(np.array([[1, 1, 1]], dtype=np.float32), eps=1e-5)
         assert np.allclose(out, 0.0)
 
     def test_two_point_row(self):
-        assert np.allclose(layer_norm(as_matrix([[0, 2]]), eps=0.0), [[-1, 1]])
+        assert np.allclose(layer_norm(np.array([[0, 2]], dtype=np.float32), eps=0.0), [[-1, 1]])
 
     def test_symmetric_row(self):
-        assert np.allclose(layer_norm(as_matrix([[-3, 3]]), eps=0.0), [[-1, 1]])
+        assert np.allclose(layer_norm(np.array([[-3, 3]], dtype=np.float32), eps=0.0), [[-1, 1]])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32))
@@ -74,15 +44,15 @@ class TestLayerNorm:
 
 class TestSoftmaxRows:
     def test_symmetry(self):
-        assert np.allclose(softmax_rows(as_matrix([[0, 0]])), [[0.5, 0.5]])
+        assert np.allclose(softmax_rows(np.array([[0, 0]], dtype=np.float32)), [[0.5, 0.5]])
 
     def test_stability_under_large_values(self):
-        out = softmax_rows(as_matrix([[1000, 1000]]))
+        out = softmax_rows(np.array([[1000, 1000]], dtype=np.float32))
         assert np.all(np.isfinite(out))
         assert np.allclose(out, [[0.5, 0.5]])
 
     def test_one_to_three_ratio(self):
-        out = softmax_rows(as_matrix([[0.0, math.log(3.0)]]))
+        out = softmax_rows(np.array([[0.0, math.log(3.0)]], dtype=np.float32))
         assert np.allclose(out, [[0.25, 0.75]], atol=1e-6)
 
     @settings(max_examples=25, deadline=None)
@@ -97,13 +67,13 @@ class TestSoftmaxRows:
 
 class TestGelu:
     def test_zero(self):
-        assert float(gelu(as_matrix([[0.0]]))[0, 0]) == 0.0
+        assert float(gelu(np.array([[0.0]], dtype=np.float32))[0, 0]) == 0.0
 
     def test_positive_asymptote(self):
-        assert abs(float(gelu(as_matrix([[10.0]]))[0, 0]) - 10.0) < 1e-3
+        assert abs(float(gelu(np.array([[10.0]], dtype=np.float32))[0, 0]) - 10.0) < 1e-3
 
     def test_negative_asymptote(self):
-        assert abs(float(gelu(as_matrix([[-10.0]]))[0, 0])) < 1e-3
+        assert abs(float(gelu(np.array([[-10.0]], dtype=np.float32))[0, 0])) < 1e-3
 
     def test_monotone_on_grid(self):
         # gelu has its minimum near x = -0.75; monotone from there up
@@ -143,6 +113,86 @@ def _reference_fill_u64(rng: Rng, count: int) -> np.ndarray:
     """The one-draw-at-a-time fill_u64 that the lane version replaced."""
     nxt = rng.next_u64
     return np.array([nxt() for _ in range(count)], dtype=np.uint64)
+
+
+def _reference_standard_normal(rng: Rng, rows: int, cols: int) -> np.ndarray:
+    """Box-Muller as ``standard_normal`` documents it, on the sequential
+    stream, in whole-array numpy operations."""
+    n = rows * cols
+    pairs = (n + 1) // 2
+    raw = _reference_fill_u64(rng, 2 * pairs)
+    scale = float(1 << 53)
+    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) / scale
+    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) / scale
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * math.pi) * u2
+    out = np.empty(2 * pairs, dtype=np.float64)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:n].astype(np.float32).reshape(rows, cols)
+
+
+def _reference_jump_table() -> np.ndarray:
+    """The jump table built one bit position at a time: the doubling build
+    the byte-table build replaced, operation for operation."""
+
+    def gf2_apply(images, v, out):
+        out[...] = 0
+        bit = np.empty_like(v)
+        for b in range(64):
+            np.right_shift(v, b, out=bit)
+            bit &= 1
+            bit *= images[b]
+            out ^= bit
+
+    columns = np.empty((64, 1024), dtype=np.uint64)
+    columns[:, 0] = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    jump = columns[:, 0].copy()
+    for _ in range(16):  # T^16, one xorshift64 step at a time
+        jump ^= jump >> np.uint64(12)
+        jump ^= jump << np.uint64(25)
+        jump ^= jump >> np.uint64(27)
+    n = 1
+    while n < 1024:
+        rows = min(64, max(1, 8192 // n))
+        for r in range(0, 64, rows):
+            gf2_apply(jump, columns[r : r + rows, :n], columns[r : r + rows, n : 2 * n])
+        square = jump.copy()
+        gf2_apply(square, square, jump)
+        n *= 2
+    return columns
+
+
+class TestJumpTable:
+    def test_matches_per_bit_build(self):
+        table = _jump_table()
+        assert table.dtype == np.uint64 and table.shape == (64, 1024)
+        assert np.array_equal(table, _reference_jump_table())
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            _jump_table()[0, 0] = 0
+
+
+class TestStandardNormal:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=4))
+    def test_matches_reference_box_muller(self, seed, shapes):
+        """Odd sizes, empty matrices and several draws in a row, which
+        start mid-lane, give the reference's bits and leave its state."""
+        fast, slow = Rng(seed), Rng(seed)
+        for rows, cols in shapes:
+            got = standard_normal(fast, rows, cols)
+            want = _reference_standard_normal(slow, rows, cols)
+            assert got.dtype == np.float32 and got.shape == (rows, cols)
+            assert got.tobytes() == want.tobytes()
+        assert fast.next_u64() == slow.next_u64()
+
+    @pytest.mark.parametrize("shape", [(1, 16383), (2, 8192), (1, 16385), (3, 11000)])
+    def test_chunk_edges(self, shape):
+        """Fills that end just before, at and after a 16,384-draw chunk."""
+        got = standard_normal(Rng(99), *shape)
+        assert got.tobytes() == _reference_standard_normal(Rng(99), *shape).tobytes()
 
 
 # lane edges (a lane is 16 draws), chunk edges (1024 lanes) and the fill sizes

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -156,6 +157,19 @@ class TestPolicySerialization:
         save_policy(policy, path)
         loaded = load_policy(path)
         assert loaded == policy
+
+    def test_write_failing_part_way_keeps_old_file(self, tmp_path, monkeypatch, write_failing_part_way):
+        path = tmp_path / "ratio_policy.json"
+        policy = RatioPolicy(poly=Polynomial(3, (0.2, 0.1, 0.0, 0.3)), beta=1.0, t_min=0, t_max=50)
+        save_policy(policy, path)
+        old = path.read_bytes()
+        with monkeypatch.context() as m:
+            m.setattr(os, "write", write_failing_part_way)
+            with pytest.raises(OSError, match="No space left"):
+                save_policy(dataclasses.replace(policy, beta=0.5), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["ratio_policy.json"]
+        assert load_policy(path) == policy
 
     def test_beta_replacement(self, tmp_path):
         policy = RatioPolicy(poly=Polynomial(4, (0.2, 0.1, 0.0, 0.0, 0.3)), beta=1.0, t_min=0, t_max=50)
