@@ -8,11 +8,27 @@ run produces is a pure function of (config seed, input, timestep).
 Hook protocol
 -------------
 ``forward(z, t, hook)`` calls ``hook(block_index, x, compute)`` once per block.
-``compute`` is a zero-argument thunk that actually evaluates the block (and
-increments the network's eval counter) returning a :class:`BlockIO`; the hook
-either invokes it or serves a replacement output of the same shape without
-paying for the block.  ``hook.begin_step``, when present, is invoked by the
-sampler once per timestep before the forward pass.
+``compute(out=None, delta=None)`` is a thunk that actually evaluates the block
+(and increments the network's eval counter), returning a :class:`BlockIO`;
+the hook either invokes it or serves a replacement output of the same shape
+without paying for the block.  ``out`` and ``delta`` are the rows of
+``Network.block_forward``: C-contiguous float32 arrays of x's shape, owned by
+the hook, that the eval writes its output and residual delta into instead of
+allocating them.  Neither may alias x or the other; the hook decides how long
+what it served stays valid.  Called with no rows, ``compute`` allocates both,
+as a standalone eval does.  ``hook.begin_step``, when present, is invoked by
+the sampler once per timestep before the forward pass.
+
+Without a hook, ``forward`` writes blocks 0..N-2 into two ping-pong rows of
+the Network's workspace and computes no delta; the last block's output, which
+it returns, is a fresh array.
+
+One ``np.errstate(over="ignore")`` per eval covers the two kernels that
+overflow on purpose (the softmax difference and the GELU cube) and what lies
+between them.  Of that, only the residual add after attention,
+``x + (attention @ wo)``, can overflow (for |x| near the float32 maximum);
+it gives +-inf as before, but no longer warns.  The conditioning add, the
+MLP residual add and the delta still warn.
 """
 
 from __future__ import annotations
@@ -50,7 +66,7 @@ BRANCH_GAIN = 0.05
 # ~6 timesteps) would instead decorrelate adjacent sampler steps entirely.
 TEMPORAL_SMOOTHING = 20.0
 
-BlockHook = Callable[[int, Matrix, Callable[[], "BlockIO"]], Matrix]
+BlockHook = Callable[[int, Matrix, Callable[..., "BlockIO"]], Matrix]
 
 
 @dataclass(frozen=True)
@@ -71,24 +87,42 @@ class DitConfig:
 @dataclass(frozen=True)
 class BlockWeights:
     """One block's parameters; attention and MLP projections plus the
-    timestep-conditioning projection."""
+    timestep-conditioning projection.
 
-    wq: Matrix
-    wk: Matrix
-    wv: Matrix
+    The query, key and value projections are stored together as ``wqkv``,
+    ``[wq | wk | wv]`` of (d, 3d): one matmul against it gives q, k and v as
+    its column blocks, with the bits of the three separate matmuls.  ``wq``,
+    ``wk`` and ``wv`` are its column views (not contiguous)."""
+
+    wqkv: Matrix
     wo: Matrix
     w1: Matrix
     w2: Matrix
     wt: Matrix
 
+    @property
+    def wq(self) -> Matrix:
+        return self.wqkv[:, : len(self.wqkv)]
 
-@dataclass(frozen=True)
+    @property
+    def wk(self) -> Matrix:
+        return self.wqkv[:, len(self.wqkv) : 2 * len(self.wqkv)]
+
+    @property
+    def wv(self) -> Matrix:
+        return self.wqkv[:, 2 * len(self.wqkv) :]
+
+
 class BlockIO:
-    """A block evaluation: input, output, and their residual delta."""
+    """A block evaluation: input, output, and their residual delta (None when
+    the caller passed an output row and no delta row)."""
 
-    input: Matrix
-    output: Matrix
-    delta: Matrix  # output - input, computed in the same float32 arithmetic
+    __slots__ = ("input", "output", "delta")
+
+    def __init__(self, input: Matrix, output: Matrix, delta: Optional[Matrix]):
+        self.input = input
+        self.output = output
+        self.delta = delta  # output - input, computed in the same float32 arithmetic
 
 
 @lru_cache(maxsize=8)
@@ -145,7 +179,8 @@ def _init_block_weights(
     normal draws: each matrix's ``standard_normal`` draws in turn (an
     odd-sized matrix draws and drops one more), scaled by 1/sqrt(d) in
     float32, then wo and w2 by the branch gain and wt by the conditioning
-    low-pass, in place."""
+    low-pass, in place.  wq, wk and wv are then laid out again, side by
+    side, as ``wqkv`` at the head of ``storage``, which their draws cover."""
     storage *= np.float32(1.0 / math.sqrt(d))
     views, offset = [], 0
     for rows, cols in shapes:
@@ -156,7 +191,9 @@ def _init_block_weights(
     wo *= gain
     w2 *= gain
     wt *= _conditioning_lowpass(d_emb)
-    return BlockWeights(wq=wq, wk=wk, wv=wv, wo=wo, w1=w1, w2=w2, wt=wt)
+    wqkv = storage[: 3 * d * d].reshape(d, 3 * d)
+    wqkv[...] = np.concatenate((wq, wk, wv), axis=1)
+    return BlockWeights(wqkv=wqkv, wo=wo, w1=w1, w2=w2, wt=wt)
 
 
 @lru_cache(maxsize=8)
@@ -180,10 +217,12 @@ class _BlockWorkspace:
     """Every intermediate of one block eval, allocated once per Network.
 
     float32: the conditioning row, ``x + c``, the normalized input of either
-    branch, q, k, v, the scores (softmaxed in place, with a float32 row
-    statistic), the attention output, the residual after attention, the MLP
-    activation (GELU in place) and GELU's work.  float64: the layer norms'
-    work, square and row statistics.
+    branch, q, k and v (the column blocks of one (n, 3d) product), the scores
+    (softmaxed in place, with a float32 row statistic and work), the
+    attention output, the residual after attention, the MLP activation (GELU
+    in place) and GELU's work, and the two rows the hook-free forward
+    alternates block outputs between.  float64: the layer norms' work, square
+    and row statistics.
     """
 
     def __init__(self, cfg: DitConfig):
@@ -193,8 +232,10 @@ class _BlockWorkspace:
         self.cond = f32(1, d)
         self.xc = f32(n, d)
         self.hn = f32(n, d)
-        self.q, self.k, self.v = f32(n, d), f32(n, d), f32(n, d)
-        self.scores = f32(n, n)
+        self.qkv = f32(n, 3 * d)
+        self.q, self.k, self.v = self.qkv[:, :d], self.qkv[:, d : 2 * d], self.qkv[:, 2 * d :]
+        self.rows = f32(2, n, d)
+        self.scores, self.softmax_work = f32(n, n), f32(n, n)
         self.attn = f32(n, d)
         self.a = f32(n, d)
         self.act, self.gelu_work = f32(n, h), f32(n, h)
@@ -207,8 +248,10 @@ class Network:
 
     A Network serves one caller at a time: every block eval writes its
     intermediates into the Network's one workspace (``_BlockWorkspace``), so
-    two evals may not run on the same Network concurrently.  What an eval
-    returns never aliases the workspace.
+    two evals may not run on the same Network concurrently.  An eval's output
+    and delta go to its caller's rows or to fresh arrays, never to the
+    workspace; only the hook-free ``forward`` keeps block outputs there, in
+    two rows, and it returns a fresh array.
     """
 
     def __init__(self, cfg: DitConfig, blocks: tuple[BlockWeights, ...]):
@@ -223,12 +266,22 @@ class Network:
     def num_blocks(self) -> int:
         return self.cfg.num_blocks
 
-    def block_forward(self, index: int, x: Matrix, t_emb: Matrix) -> BlockIO:
+    def block_forward(
+        self,
+        index: int,
+        x: Matrix,
+        t_emb: Matrix,
+        out: Optional[Matrix] = None,
+        delta: Optional[Matrix] = None,
+    ) -> BlockIO:
         """Evaluate one block: additive timestep conditioning, then pre-norm
         single-head attention and a pre-norm GELU MLP, both residual.
 
-        Every step writes into the workspace; the output and the delta are
-        the only arrays an eval allocates.
+        ``out`` and ``delta`` are the caller's rows (see the hook protocol in
+        the module docstring): given, the eval writes its output and delta
+        there and allocates nothing.  With no rows it allocates both; with an
+        output row and no delta row it computes no delta.  Every step writes
+        into the workspace.
         """
         cfg = self.cfg
         if x.shape != (cfg.num_tokens, cfg.channels):
@@ -238,30 +291,34 @@ class Network:
         w = self.blocks[index]
         ws = self._ws
         self.eval_count += 1
+        want_delta = delta is not None or out is None
 
         # conditioning enters through the attention branch's norm only; the
         # residual stream itself carries x plus the two branch outputs, added
         # in place (a = mm; a += x): float addition commutes, so the bits are
         # those of x + mm
         np.matmul(t_emb, w.wt, out=ws.cond)
-        np.add(x, ws.cond, out=ws.xc)
+        ws.xc[...] = ws.cond  # spread by assignment (see layer_norm_into)
+        ws.xc += x
         layer_norm_into(ws.xc, LN_EPS, ws.hn, ws.ln_work, ws.ln_square, ws.row_stat)
-        np.matmul(ws.hn, w.wq, out=ws.q)
-        np.matmul(ws.hn, w.wk, out=ws.k)
-        np.matmul(ws.hn, w.wv, out=ws.v)
+        np.matmul(ws.hn, w.wqkv, out=ws.qkv)
         np.matmul(ws.q, ws.k.T, out=ws.scores)
         ws.scores *= self._score_scale
-        softmax_rows_into(ws.scores, ws.scores, ws.softmax_stat)
-        np.matmul(ws.scores, ws.v, out=ws.attn)
-        np.matmul(ws.attn, w.wo, out=ws.a)
-        ws.a += x
-        layer_norm_into(ws.a, LN_EPS, ws.hn, ws.ln_work, ws.ln_square, ws.row_stat)
-        np.matmul(ws.hn, w.w1, out=ws.act)
-        gelu_into(ws.act, ws.act, ws.gelu_work)
-        out = ws.act @ w.w2
+        with np.errstate(over="ignore"):  # the softmax difference, the GELU cube
+            softmax_rows_into(ws.scores, ws.scores, ws.softmax_stat, ws.softmax_work)
+            np.matmul(ws.scores, ws.v, out=ws.attn)
+            np.matmul(ws.attn, w.wo, out=ws.a)
+            ws.a += x
+            layer_norm_into(ws.a, LN_EPS, ws.hn, ws.ln_work, ws.ln_square, ws.row_stat)
+            np.matmul(ws.hn, w.w1, out=ws.act)
+            gelu_into(ws.act, ws.act, ws.gelu_work)
+        # with out=None, matmul and subtract allocate, after every temporary has
+        # been freed, so the allocating call peaks at its output and delta
+        out = np.matmul(ws.act, w.w2, out=out)
         out += ws.a
-
-        return BlockIO(input=x, output=out, delta=out - x)
+        if want_delta:
+            delta = np.subtract(out, x, out=delta)
+        return BlockIO(x, out, delta)
 
     def forward(self, z: Matrix, t: float, hook: Optional[BlockHook] = None) -> Matrix:
         """Run all blocks in order; the final output is the noise prediction.
@@ -274,17 +331,20 @@ class Network:
             raise ShapeError(f"input shape {z.shape} != ({cfg.num_tokens}, {cfg.channels})")
         t_emb = timestep_embedding(t, self.d_emb)
         x = z
+        if hook is None:
+            last = cfg.num_blocks - 1
+            rows = self._ws.rows
+            for i in range(last):
+                x = self.block_forward(i, x, t_emb, rows[i % 2]).output
+            return self.block_forward(last, x, t_emb, np.empty(z.shape, dtype=np.float32)).output
         for i in range(cfg.num_blocks):
-            if hook is None:
-                x = self.block_forward(i, x, t_emb).output
-            else:
-                def compute(i=i, x=x):
-                    return self.block_forward(i, x, t_emb)
+            def compute(out=None, delta=None, i=i, x=x):
+                return self.block_forward(i, x, t_emb, out, delta)
 
-                served = hook(i, x, compute)
-                if not isinstance(served, np.ndarray) or served.shape != x.shape:
-                    raise ShapeError(f"hook returned wrong shape for block {i}")
-                x = served
+            served = hook(i, x, compute)
+            if not isinstance(served, np.ndarray) or served.shape != x.shape:
+                raise ShapeError(f"hook returned wrong shape for block {i}")
+            x = served
         return x
 
 

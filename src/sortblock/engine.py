@@ -76,11 +76,14 @@ def cosine_similarity(a: Matrix, b: Matrix) -> float:
 def _cosine_float64(av: np.ndarray, bv: np.ndarray) -> float:
     """``cosine_similarity`` of two float64 vectors.  The norms are
     ``sqrt(v.dot(v))``, which is what ``np.linalg.norm`` computes."""
-    na = math.sqrt(av.dot(av))
-    nb = math.sqrt(bv.dot(bv))
+    return _cosine(float(av @ bv), math.sqrt(av.dot(av)), math.sqrt(bv.dot(bv)))
+
+
+def _cosine(dot: float, na: float, nb: float) -> float:
+    """The cosine of two vectors from their dot product and their norms."""
     if na < _NORM_FLOOR or nb < _NORM_FLOOR:
         return ZERO_DELTA_SIMILARITY
-    c = float(av @ bv) / (na * nb)
+    c = dot / (na * nb)
     # the bits of float(np.clip(c, -1.0, 1.0)), NaN passing through, without
     # np.clip's per-call cost on a Python float
     return c if -1.0 <= c <= 1.0 else (math.copysign(1.0, c) if c == c else c)
@@ -255,11 +258,17 @@ class SortblockEngine:
         self.slopes: Optional[np.ndarray] = None  # (values - prev_values) / interval
         self.preds: Optional[np.ndarray] = None  # this step's linear predictions
         self.ref_deltas: Optional[np.ndarray] = None  # the last full step's deltas, from the first on
+        self._ref_norms: Optional[list[float]] = None  # their L2 norms: that step's delta_l2
         self._slope_anchor: Optional[int] = None  # the anchor step self.slopes belongs to
-        # the ranking sweep's float64 operands: a predicted delta and its reference
-        self._sweep64: Optional[np.ndarray] = None
+        # float64 work rows: a predicted delta and its reference in the ranking
+        # sweep; row 0 also widens each served delta for the step's statistics
+        self._work64: Optional[np.ndarray] = None
         self._serve_from: Optional[np.ndarray] = None  # the stack this step's predictions come from
         self._served: Optional[np.ndarray] = None  # this step's served deltas, one row per block
+        self._deltas: Optional[np.ndarray] = None  # the same, (N, tokens, channels)
+        # the output rows of blocks computed off an anchor step, alternating, so
+        # that no block writes over its own input
+        self._rows: Optional[np.ndarray] = None
         self._step = -1
         self._t = -1
         self._label = "outside"
@@ -303,29 +312,33 @@ class SortblockEngine:
                 if label == "full" and self.ref_deltas is None:
                     self.ref_deltas = np.empty_like(self.values)
 
+        delta = self._deltas[index]
         if anchor or self.policy.flags[index]:
-            io = compute()
+            # the block writes its output and delta straight into the engine's
+            # rows: the anchor stack on a caching anchor step, a ping-pong row
+            # otherwise, and the served-delta stack
+            cache = anchor and self.values is not None
+            served = self.values[index] if cache else self._rows[index % 2]
+            compute(served, delta)
             rec.evals += 1
             rec.flags.append(1)
-            served = io.output
-            self._served[index] = io.delta.reshape(-1)
             if self.heavy:
-                self.trace.deltas[-1].append(io.delta)
-            if anchor and self.values is not None:
-                self.values[index] = io.output
-                if label == "full":
-                    self.ref_deltas[index] = io.delta
+                self.trace.deltas[-1].append(delta.copy())
+            if cache and label == "full":
+                self.ref_deltas[index] = delta
         else:
             rec.flags.append(0)
             served = self._serve_from[index]
-            np.subtract(served, x, out=self._served[index].reshape(x.shape))
+            np.subtract(served, x, out=delta)
 
         if index == self.num_blocks - 1:
-            rec.delta_l1, rec.delta_l2 = served_delta_stats(self._served)
+            rec.delta_l1, rec.delta_l2 = served_delta_stats(self._served, self._work64[0])
+            if label == "full":
+                self._ref_norms = rec.delta_l2
             self.trace.total_evals += rec.evals
             rec.eval_total = self.trace.total_evals
             if self.store_outputs:
-                self.trace.outputs.append(served)
+                self.trace.outputs.append(served.copy())
             if anchor:
                 self.interval = 0 if self.anchor_step is None else self._step - self.anchor_step
                 self.anchor_step = self._step
@@ -337,11 +350,13 @@ class SortblockEngine:
         # moves the cost of every later mid-sized allocation in the process
         n = self.num_blocks
         self._served = np.empty((n, x.size), dtype=np.float32)
+        self._deltas = self._served.reshape((n, *x.shape))
+        self._rows = np.empty((2, *x.shape), dtype=np.float32)
+        self._work64 = np.empty((2, x.size), dtype=np.float64)
         if self.cfg is not None:
             self.values, self.prev_values, self.slopes, self.preds = (
                 np.empty((n, *x.shape), dtype=np.float32) for _ in range(4)
             )
-            self._sweep64 = np.empty((2, x.size), dtype=np.float64)
 
     def _predict_step(self, z: Matrix) -> None:
         """Predict every block for this ranked or follow step; on a ranked
@@ -396,17 +411,19 @@ class SortblockEngine:
             raise SortblockError("ranked step before any full step")
         # the float32 deltas P - [z, P[:-1]], written to the served stack
         # (rewritten row by row as the step is served), each widened with its
-        # reference for the float64 score
+        # reference for the float64 score; the reference's norm is its
+        # delta_l2, the same sqrt of the same dot
         preds = self._serve_from
-        deltas = self._served.reshape(preds.shape)
+        deltas = self._deltas
         np.subtract(preds[0], z, out=deltas[0])
         np.subtract(preds[1:], preds[:-1], out=deltas[1:])
-        pred64, ref64 = self._sweep64
+        pred64, ref64 = self._work64
+        refs = self.ref_deltas.reshape(self._served.shape)
         scores = []
-        for delta, ref in zip(self._served, self.ref_deltas.reshape(self._served.shape)):
+        for delta, ref, ref_norm in zip(self._served, refs, self._ref_norms):
             pred64[...] = delta
             ref64[...] = ref
-            scores.append(_cosine_float64(pred64, ref64))
+            scores.append(_cosine(float(pred64 @ ref64), math.sqrt(pred64.dot(pred64)), ref_norm))
         self.policy = select_blocks(scores, self.cfg.effective_rho(self._t))
         self._record.scores = list(self.policy.scores)
 

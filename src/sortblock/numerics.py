@@ -16,22 +16,34 @@ reaches is the right answer and the overflow is silenced.
 The block forward's kernels (``layer_norm``, ``softmax_rows``, ``gelu``) each
 have one body, ``*_into``, which works in place (``out=`` ufuncs and
 reductions) on buffers its caller passes: ``dit.Network`` passes buffers from
-its workspace, allocated once per Network, so a block eval allocates only its
-output and delta.  The single-argument forms, for standalone calls, allocate
-the buffers themselves.  The rounding is that of the plain formula in each
-kernel's docstring, operation for operation; any reordering of the
-arithmetic changes latents, except that a float32 operand casts to float64
-exactly and scaling by a power of two is exact.  Layer norm's float64
-buffers follow one more rule: nothing of 128 KiB or more is allocated or
-freed per block eval or per run.  128 KiB is glibc's mmap and trim
-threshold: a chain of float64 temporaries of that size (one 64x256
-activation) made the allocator return pages to the kernel and fault them in
-again on every block eval, which cost more than the arithmetic.  The
-weight init, which every process runs before it times anything, frees no
+its workspace, allocated once per Network, so a block eval whose caller
+passes rows for its output and delta allocates nothing.  ``softmax_rows_into``
+and ``gelu_into`` leave silencing their overflow to the caller, which runs
+them under ``np.errstate(over="ignore")``: the block forward enters one for
+both, per eval.  The single-argument forms, for standalone calls, allocate
+the buffers and enter the errstate themselves.  The rounding is that of the
+plain formula in each kernel's docstring, operation for operation; any
+reordering of the arithmetic changes latents, except that a float32 operand
+casts to float64 exactly and scaling by a power of two is exact.
+
+Layer norm's float64 buffers follow one more rule: nothing of 128 KiB or
+more is allocated or freed per block eval or per run.  128 KiB is glibc's
+default mmap threshold and the floor of its dynamic one, so a request below
+it never comes from mmap, whatever the heap history.  It is not the
+threshold in force here: interpreter start-up and ``import numpy`` free
+blocks of up to about 212 KiB, which raises the dynamic mmap threshold to
+about 212 KiB and the trim threshold to twice that, about 424 KiB (glibc
+2.36, numpy 2.4), before this package is imported.  The limit stays at the
+floor so that it holds in any process.  The rule exists because a chain of
+128 KiB float64 temporaries (one 64x256 activation) made the allocator
+return pages to the kernel and fault them in again on every block eval,
+which cost more than the arithmetic.  The weight
+init, which every process runs before it times anything, frees no
 temporary larger than 128 KiB (one 16,384-element uint64 or float64 work
-buffer), so it leaves glibc's dynamic mmap and trim thresholds where they
-were: freeing a larger mmapped block would raise them for the rest of the
-process.  Only what it keeps, the weights and the jump table, is larger.
+buffer), so it leaves glibc's dynamic mmap and trim thresholds where
+start-up left them: freeing a larger mmapped block would raise them for the
+rest of the process.  Only what it keeps, the weights and the jump table, is
+larger.
 
 The generator (``Rng``) is xorshift64*, whose state step is linear over GF(2).
 ``Rng.fill_u64`` and ``standard_normal`` use that to jump lanes ahead and
@@ -351,19 +363,25 @@ def layer_norm_into(
     buffers ``work`` and ``square`` of x's shape and ``stat`` of (rows, 1).
 
     ``np.mean`` is ``add.reduce`` followed by ``true_divide`` by the count;
-    the calls below are those, so the bits are the same.
+    the calls below are those, so the bits are the same.  The row sum
+    reduces x widened into ``work``, which gives the bits of reducing x with
+    ``dtype=np.float64``.  Row statistics are spread over ``square`` by
+    assignment before they meet a full matrix: a ufunc that broadcasts one
+    operand makes numpy allocate iterator buffers on every call.
     """
     count = x.shape[1]
-    np.add.reduce(x, axis=1, dtype=np.float64, keepdims=True, out=stat)
-    stat /= count
     work[...] = x
-    work -= stat
+    np.add.reduce(work, axis=1, keepdims=True, out=stat)
+    stat /= count
+    square[...] = stat
+    work -= square
     np.multiply(work, work, out=square)
     np.add.reduce(square, axis=1, keepdims=True, out=stat)
     stat /= count
     stat += eps
     np.sqrt(stat, out=stat)
-    work /= stat
+    square[...] = stat
+    work /= square
     out[...] = work
 
 
@@ -372,24 +390,28 @@ def softmax_rows(x: Matrix) -> Matrix:
     float32: ``e = exp(x - max(x))``, then ``e / sum(e)``."""
     _require_2d("x", x)
     out = np.empty(x.shape, dtype=np.float32)
-    softmax_rows_into(x, out, np.empty((x.shape[0], 1), dtype=np.float32))
+    with np.errstate(over="ignore"):
+        softmax_rows_into(x, out, np.empty((x.shape[0], 1), dtype=np.float32), np.empty_like(out))
     return out
 
 
-def softmax_rows_into(x: Matrix, out: Matrix, stat: np.ndarray) -> None:
+def softmax_rows_into(x: Matrix, out: Matrix, stat: np.ndarray, work: Matrix) -> None:
     """``softmax_rows`` written to ``out`` (float32, may be ``x``), with a
-    float32 row statistic ``stat`` of (rows, 1).
+    float32 row statistic ``stat`` of (rows, 1) and a float32 buffer
+    ``work`` of x's shape, over which the statistic is spread by assignment
+    (as in ``layer_norm_into``).
 
     ``x - max`` overflows to -inf only where the float64 difference is below
-    the float32 range, and exp of it is 0 either way, so the overflow is
-    silenced.
+    the float32 range, and exp of it is 0 either way, so the caller runs this
+    under ``np.errstate(over="ignore")``.
     """
     np.maximum.reduce(x, axis=1, keepdims=True, out=stat)
-    with np.errstate(over="ignore"):
-        np.subtract(x, stat, out=out)
+    work[...] = stat
+    np.subtract(x, work, out=out)
     np.exp(out, out=out)
     np.add.reduce(out, axis=1, keepdims=True, out=stat)
-    out /= stat
+    work[...] = stat
+    out /= work
 
 
 _GELU_C1 = np.float32(math.sqrt(2.0 / math.pi))
@@ -401,7 +423,8 @@ def gelu(x: Matrix) -> Matrix:
     rounded to float32: ``h = 0.5 * x``, then
     ``h * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * ((x * x) * x))))``."""
     out = np.empty(np.shape(x), dtype=np.float32)
-    gelu_into(x, out, np.empty_like(out))
+    with np.errstate(over="ignore"):
+        gelu_into(x, out, np.empty_like(out))
     return out
 
 
@@ -412,12 +435,11 @@ def gelu_into(x: Matrix, out: Matrix, work: Matrix) -> None:
     ``0.5 * x`` is formed first, so ``(1 + tanh) * x`` cannot overflow near
     the float32 maximum.  The cube overflows to +-inf for |x| above about
     7e12; tanh then gives +-1 and the result is x or -0, the limits of GELU,
-    so the overflow is silenced.
+    so the caller runs this under ``np.errstate(over="ignore")``.
     """
-    with np.errstate(over="ignore"):
-        np.multiply(x, x, out=work)
-        work *= x
-        work *= _GELU_C2
+    np.multiply(x, x, out=work)
+    work *= x
+    work *= _GELU_C2
     work += x
     work *= _GELU_C1
     np.tanh(work, out=work)

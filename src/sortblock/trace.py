@@ -85,7 +85,7 @@ class RunTrace:
         }
 
 
-def served_delta_stats(stack: np.ndarray) -> tuple[list[float], list[float]]:
+def served_delta_stats(stack: np.ndarray, work: np.ndarray) -> tuple[list[float], list[float]]:
     """Per-block ``delta_l1`` and ``delta_l2`` of one step, from the step's
     (num_blocks, tokens*channels) float32 stack of served deltas.
 
@@ -96,14 +96,15 @@ def served_delta_stats(stack: np.ndarray) -> tuple[list[float], list[float]]:
     same dot product (of |d| here, whose squares are those of d).
 
     Overwrites ``stack`` with its absolute values (the engine rewrites every
-    row each step), so a step allocates nothing the size of the stack.
+    row each step) and widens each row into ``work``, the caller's float64
+    row of tokens*channels, so a step allocates nothing the size of a row.
     """
     np.abs(stack, out=stack)
     l1 = np.add.reduce(stack, axis=1) / stack.shape[1]
     l2 = []
     for row in stack:
-        wide = row.astype(np.float64)
-        l2.append(math.sqrt(wide @ wide))
+        work[...] = row
+        l2.append(math.sqrt(work @ work))
     return l1.tolist(), l2
 
 

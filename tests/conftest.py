@@ -18,6 +18,21 @@ from sortblock import (
 from sortblock.dit import BlockIO
 
 
+def block_io(x, value, out=None, delta=None):
+    """The ``BlockIO`` of a block whose output is ``value``, by the row rule
+    of ``Network.block_forward``: given rows are written; with no rows, the
+    output is ``value`` and the delta is allocated; with an output row alone
+    there is no delta."""
+    want_delta = delta is not None or out is None
+    if out is None:
+        out = value
+    else:
+        out[...] = value
+    if want_delta:
+        delta = np.subtract(out, x, out=delta)
+    return BlockIO(input=x, output=out, delta=delta)
+
+
 class AffineNetwork:
     """Synthetic network whose block outputs are affine in the timestep and
     independent of the input: out_i(t) = base_i + t * slope_i.
@@ -59,10 +74,9 @@ class AffineNetwork:
                 self.eval_count += 1
                 x = out
             else:
-                def compute(i=i, x=x):
+                def compute(out=None, delta=None, i=i, x=x):
                     self.eval_count += 1
-                    out = self._output(i, t)
-                    return BlockIO(input=x, output=out, delta=out - x)
+                    return block_io(x, self._output(i, t), out, delta)
 
                 x = hook(i, x, compute)
         return x

@@ -29,12 +29,14 @@ from sortblock import (
     gelu,
     init_network,
     layer_norm,
+    network_forward,
     run_sortblock,
     sample,
     softmax_rows,
     timestep_embedding,
 )
-from sortblock.dit import LN_EPS, BlockIO
+from conftest import block_io
+from sortblock.dit import LN_EPS
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -89,11 +91,11 @@ def reference_block_forward(net, index, x, t_emb):
     return a + reference_gelu(an @ w.w1) @ w.w2
 
 
-def reference_block_io(net, index, x, t_emb):
-    """A drop-in ``Network.block_forward`` built on the reference block."""
+def reference_block_io(net, index, x, t_emb, out=None, delta=None):
+    """A drop-in ``Network.block_forward`` built on the reference block,
+    writing into the caller's rows when given."""
     net.eval_count += 1
-    out = reference_block_forward(net, index, x, t_emb)
-    return BlockIO(input=x, output=out, delta=out - x)
+    return block_io(x, reference_block_forward(net, index, x, t_emb), out, delta)
 
 
 def assert_same_bits(got, want):
@@ -237,6 +239,53 @@ class TestWorkspace:
             tracemalloc.stop()
         escaping = io.output.nbytes + io.delta.nbytes
         assert peak - before <= escaping + self.ALLOCATION_SLACK_BYTES
+
+    def test_block_forward_with_rows_allocates_no_row(self, default_net):
+        """Given rows for its output and delta, an eval allocates nothing the
+        size of a row: every intermediate lives in the workspace, and no
+        ufunc broadcasts an operand (which would make numpy allocate iterator
+        buffers)."""
+        x = _inputs(1)[0]
+        t_emb = timestep_embedding(500, default_net.d_emb)
+        out, delta = np.empty_like(x), np.empty_like(x)
+        for _ in range(3):
+            default_net.block_forward(5, x, t_emb, out, delta)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            io = default_net.block_forward(5, x, t_emb, out, delta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert io.output is out and io.delta is delta
+        assert peak - before < x.nbytes
+
+    def test_rows_give_the_bits_of_the_allocating_call(self, default_net):
+        t_emb = timestep_embedding(321, default_net.d_emb)
+        rows = np.full((2, 64, 64), np.nan, dtype=np.float32)
+        for index, x in enumerate(_inputs(default_net.num_blocks, seed=12)):
+            want = default_net.block_forward(index, x, t_emb)
+            got = default_net.block_forward(index, x, t_emb, rows[0], rows[1])
+            assert_same_bits(rows[0], want.output)
+            assert_same_bits(rows[1], want.delta)
+            alone = default_net.block_forward(index, x, t_emb, rows[0])
+            assert alone.delta is None
+            assert_same_bits(alone.output, want.output)
+            assert got.input is x
+
+    def test_successive_forwards_return_distinct_arrays(self, default_net):
+        """The hook-free forward keeps block outputs in the workspace's rows
+        but returns a fresh array, so an earlier result survives a later
+        forward."""
+        z1, z2 = _inputs(2, seed=13)
+        first = network_forward(default_net, z1, 400)
+        kept = first.copy()
+        second = network_forward(default_net, z2, 400)
+        assert first is not second
+        assert not np.shares_memory(first, second)
+        assert_same_bits(first, kept)
+        assert_same_bits(second, network_forward(default_net, z2, 400))
+        assert_same_bits(first, network_forward(default_net, z1, 400))
 
     def test_interleaved_blocks_and_networks_do_not_alias(self):
         """Outputs of earlier evals survive later evals of other blocks, of a

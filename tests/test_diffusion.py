@@ -20,8 +20,8 @@ from sortblock import (
     standard_normal,
     uniform_step_list,
 )
+from conftest import block_io
 from sortblock import cli
-from sortblock.dit import BlockIO
 
 
 def _synthetic_schedule(alphas_bar, sigmas=None):
@@ -226,17 +226,17 @@ class DivergingNetwork:
         self.num_blocks = num_blocks
         self.eval_count = 0
 
-    def _compute(self, i, x, t):
+    def _compute(self, i, x, t, out=None, delta=None):
         self.eval_count += 1
-        out = np.zeros_like(x)
+        value = np.zeros_like(x)
         if i == self.num_blocks - 1 and t == self.bad_t:
-            out[0, 0] = self.value
-        return BlockIO(input=x, output=out, delta=out - x)
+            value[0, 0] = self.value
+        return block_io(x, value, out, delta)
 
     def forward(self, z, t, hook=None):
         x = z
         for i in range(self.num_blocks):
-            compute = lambda i=i, x=x: self._compute(i, x, t)
+            compute = lambda out=None, delta=None, i=i, x=x: self._compute(i, x, t, out, delta)
             x = compute().output if hook is None else hook(i, x, compute)
         return x
 

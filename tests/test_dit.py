@@ -29,7 +29,7 @@ def _zero_weight_network(cfg: DitConfig) -> Network:
     d, m = cfg.channels, cfg.mlp_ratio
     zeros = lambda r, c: np.zeros((r, c), dtype=np.float32)
     block = BlockWeights(
-        wq=zeros(d, d), wk=zeros(d, d), wv=zeros(d, d), wo=zeros(d, d),
+        wqkv=zeros(d, 3 * d), wo=zeros(d, d),
         w1=zeros(d, m * d), w2=zeros(m * d, d), wt=zeros(d, d),
     )
     return Network(cfg, tuple(block for _ in range(cfg.num_blocks)))
@@ -80,6 +80,17 @@ class TestInitNetwork:
                     draw(d, h), draw(h, d) * gain, draw(d, d) * _conditioning_lowpass(d))
             for name, w in zip(("wq", "wk", "wv", "wo", "w1", "w2", "wt"), want):
                 assert getattr(got, name).tobytes() == w.tobytes(), name
+
+    def test_qkv_projections_share_one_buffer_with_the_block(self):
+        """wq, wk and wv are column views of one C-contiguous (d, 3d) wqkv,
+        which lives in the block's weight buffer: the fused projection is no
+        second copy of the weights."""
+        d = 64
+        for w in init_network(DitConfig()).blocks:
+            assert w.wqkv.shape == (d, 3 * d) and w.wqkv.flags.c_contiguous
+            assert w.wqkv.base is w.wo.base is w.wt.base
+            for part in (w.wq, w.wk, w.wv):
+                assert part.shape == (d, d) and part.base is w.wqkv.base
 
     def test_per_width_arrays_are_computed_once_and_read_only(self):
         for fn in (_embedding_freqs, _conditioning_lowpass):
@@ -193,6 +204,25 @@ class TestNetworkForward:
 
         network_forward(default_net, standard_normal(Rng(7), 64, 64), 50, counting)
         assert calls == list(range(default_net.num_blocks))
+
+    def test_hook_rows_receive_output_and_delta(self, default_net):
+        """A hook that hands ``compute`` its own rows serves what the
+        hook-free forward computes, and each delta row holds output - input."""
+        z = standard_normal(Rng(10), 64, 64)
+        rows = np.empty((default_net.num_blocks, 2, 64, 64), dtype=np.float32)
+        inputs = []
+
+        def into_rows(i, x, compute):
+            inputs.append(x)
+            out, delta = rows[i]
+            io = compute(out, delta)
+            assert io.output is out and io.delta is delta and io.input is x
+            return out
+
+        hooked = network_forward(default_net, z, 77, into_rows)
+        assert np.array_equal(hooked, network_forward(default_net, z, 77))
+        for (out, delta), x in zip(rows, inputs):
+            assert np.array_equal(delta, out - x)
 
     def test_bad_hook_shape_raises(self, default_net):
         with pytest.raises(ShapeError):

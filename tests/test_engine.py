@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import sortblock.engine
+from conftest import block_io
 from sortblock import (
     BlockCacheEntry,
     ConfigError,
@@ -30,7 +30,6 @@ from sortblock import (
     select_blocks,
     standard_normal,
 )
-from sortblock.dit import BlockIO
 from sortblock.engine import _NORM_FLOOR, ZERO_DELTA_SIMILARITY, _cosine_float64
 
 
@@ -269,7 +268,7 @@ class TestLifecyclePhases:
             x = z
             for i, out in enumerate(outputs):
                 out = outputs[i - 1] if i == 3 else out  # block 3: zero delta
-                x = engine(i, x, lambda x=x, out=out: BlockIO(input=x, output=out, delta=out - x))
+                x = engine(i, x, lambda row=None, delta=None, x=x, out=out: block_io(x, out, row, delta))
             return x
 
         z = rng.standard_normal((4, 4)).astype(np.float32)
@@ -531,26 +530,24 @@ else:
 
 
 class TestEngineAllocation:
-    def test_warm_ranked_and_follow_steps_allocate_no_block_row(self, monkeypatch):
+    def test_warm_ranked_and_follow_steps_allocate_no_block_row(self):
         """A warm ranked step (prediction, ranking sweep, serving) and a warm
         follow step allocate nothing the size of one block row in the
-        engine's own code: predictions, slopes and sweep operands live in the
-        engine's stacks.  The blocks are a stub that hands out preallocated
-        arrays, and the per-step trace statistics (``served_delta_stats``,
-        which widens one row at a time) are stubbed out too."""
+        engine's own code: predictions, slopes, sweep operands and the
+        float64 row the per-step trace statistics widen into live in the
+        engine, and computed blocks write into the engine's rows.  The blocks
+        are a stub that copies preallocated outputs into those rows."""
         n, shape = 12, (64, 64)
         rng = np.random.default_rng(0)
         outputs = [rng.standard_normal(shape).astype(np.float32) for _ in range(n)]
-        deltas = [rng.standard_normal(shape).astype(np.float32) for _ in range(n)]
         z = rng.standard_normal(shape).astype(np.float32)
-        monkeypatch.setattr(sortblock.engine, "served_delta_stats", lambda stack: ([], []))
         engine = SortblockEngine(SortblockConfig(refresh_interval=5, rho=0.3, window=(900, 100)), n)
 
         def step(index, t):
             engine.begin_step(index, t)
             x = z
             for b in range(n):
-                x = engine(b, x, lambda b=b, x=x: BlockIO(input=x, output=outputs[b], delta=deltas[b]))
+                x = engine(b, x, lambda out=None, delta=None, b=b, x=x: block_io(x, outputs[b], out, delta))
 
         # outside, full, ranked, 3 x follow, full: the next ranked step is warm
         timesteps = [950, 900, 880, 860, 840, 820, 800, 780, 760]

@@ -61,7 +61,7 @@ class TestServedDeltaStats:
         stack = (rng.standard_normal((blocks, n)) * scales[:, None]).astype(np.float32)
         expected = self._per_block(stack)
         magnitudes = np.abs(stack)
-        assert served_delta_stats(stack) == expected
+        assert served_delta_stats(stack, np.empty(n)) == expected
         assert np.array_equal(stack, magnitudes)
 
     def test_extreme_rows(self):
@@ -74,7 +74,7 @@ class TestServedDeltaStats:
         ], dtype=np.float32)
         with np.errstate(over="ignore"):
             expected = self._per_block(stack)
-            assert served_delta_stats(stack) == expected
+            assert served_delta_stats(stack, np.empty(4096)) == expected
 
 
 class TestRecordBaseline:
