@@ -17,7 +17,7 @@ from .diffusion import (
     sample,
     uniform_step_list,
 )
-from .dit import BlockIO, BlockWeights, DitConfig, Network, init_network, network_forward, timestep_embedding
+from .dit import BlockWeights, DitConfig, Network, init_network, network_forward, timestep_embedding
 from .engine import (
     BlockCacheEntry,
     PolicySequence,

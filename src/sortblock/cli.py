@@ -18,9 +18,10 @@ import hashlib
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -168,11 +169,28 @@ def load_config_file(path) -> dict:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(doc) - known
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    unknown = set(doc) - set(fields)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+    types = typing.get_type_hints(ExperimentConfig)
+    for key, value in doc.items():
+        if not _has_type(value, types[key]):
+            raise ConfigError(f"{path}: config key {key!r} must be {fields[key].type}, got {json.dumps(value)}")
     return doc
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits an ``ExperimentConfig`` field type: a bool is
+    not an int, an int is a float, and null fits only an Optional field."""
+    if typing.get_origin(hint) is Union:
+        return any(_has_type(value, arg) for arg in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -226,10 +244,13 @@ def _parse_curve_csv(path) -> tuple[list[float], list[float]]:
     ts, ys = [], []
     for lineno, row in enumerate(rows, start=2):
         try:
-            ts.append(float(row[0]))
-            ys.append(float(row[1]))
+            t, y = float(row[0]), float(row[1])
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        if not (math.isfinite(t) and math.isfinite(y)):
+            raise ParseError(f"{path}: line {lineno}: non-finite sample {row[0]},{row[1]}")
+        ts.append(t)
+        ys.append(y)
     return ts, ys
 
 

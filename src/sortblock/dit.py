@@ -8,27 +8,27 @@ run produces is a pure function of (config seed, input, timestep).
 Hook protocol
 -------------
 ``forward(z, t, hook)`` calls ``hook(block_index, x, compute)`` once per block.
-``compute(out=None, delta=None)`` is a thunk that actually evaluates the block
-(and increments the network's eval counter), returning a :class:`BlockIO`;
-the hook either invokes it or serves a replacement output of the same shape
-without paying for the block.  ``out`` and ``delta`` are the rows of
-``Network.block_forward``: C-contiguous float32 arrays of x's shape, owned by
-the hook, that the eval writes its output and residual delta into instead of
-allocating them.  Neither may alias x or the other; the hook decides how long
-what it served stays valid.  Called with no rows, ``compute`` allocates both,
-as a standalone eval does.  ``hook.begin_step``, when present, is invoked by
-the sampler once per timestep before the forward pass.
+``compute(out=None)`` is a thunk that actually evaluates the block (and
+increments the network's eval counter), returning its output; the hook either
+invokes it or serves a replacement output of the same shape without paying
+for the block.  ``out`` is the row of ``Network.block_forward``: a
+C-contiguous float32 array of x's shape, owned by the hook and not aliasing
+x, that the eval writes its output into instead of allocating it; the hook
+decides how long what it served stays valid.  Called with no row,
+``compute`` allocates the output, as a standalone eval does.  The residual
+delta ``out - x`` is the hook's to form.  ``hook.begin_step``, when present,
+is invoked by the sampler once per timestep before the forward pass.
 
 Without a hook, ``forward`` writes blocks 0..N-2 into two ping-pong rows of
-the Network's workspace and computes no delta; the last block's output, which
-it returns, is a fresh array.
+the Network's workspace; the last block's output, which it returns, is a
+fresh array.
 
 One ``np.errstate(over="ignore")`` per eval covers the two kernels that
 overflow on purpose (the softmax difference and the GELU cube) and what lies
 between them.  Of that, only the residual add after attention,
 ``x + (attention @ wo)``, can overflow (for |x| near the float32 maximum);
-it gives +-inf as before, but no longer warns.  The conditioning add, the
-MLP residual add and the delta still warn.
+it gives +-inf, but does not warn.  The conditioning add and the MLP
+residual add still warn.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ BRANCH_GAIN = 0.05
 # ~6 timesteps) would instead decorrelate adjacent sampler steps entirely.
 TEMPORAL_SMOOTHING = 20.0
 
-BlockHook = Callable[[int, Matrix, Callable[..., "BlockIO"]], Matrix]
+BlockHook = Callable[[int, Matrix, Callable[..., Matrix]], Matrix]
 
 
 @dataclass(frozen=True)
@@ -111,18 +111,6 @@ class BlockWeights:
     @property
     def wv(self) -> Matrix:
         return self.wqkv[:, 2 * len(self.wqkv) :]
-
-
-class BlockIO:
-    """A block evaluation: input, output, and their residual delta (None when
-    the caller passed an output row and no delta row)."""
-
-    __slots__ = ("input", "output", "delta")
-
-    def __init__(self, input: Matrix, output: Matrix, delta: Optional[Matrix]):
-        self.input = input
-        self.output = output
-        self.delta = delta  # output - input, computed in the same float32 arithmetic
 
 
 @lru_cache(maxsize=8)
@@ -249,9 +237,9 @@ class Network:
     A Network serves one caller at a time: every block eval writes its
     intermediates into the Network's one workspace (``_BlockWorkspace``), so
     two evals may not run on the same Network concurrently.  An eval's output
-    and delta go to its caller's rows or to fresh arrays, never to the
-    workspace; only the hook-free ``forward`` keeps block outputs there, in
-    two rows, and it returns a fresh array.
+    goes to its caller's row or to a fresh array, never to the workspace;
+    only the hook-free ``forward`` keeps block outputs there, in two rows,
+    and it returns a fresh array.
     """
 
     def __init__(self, cfg: DitConfig, blocks: tuple[BlockWeights, ...]):
@@ -272,16 +260,14 @@ class Network:
         x: Matrix,
         t_emb: Matrix,
         out: Optional[Matrix] = None,
-        delta: Optional[Matrix] = None,
-    ) -> BlockIO:
+    ) -> Matrix:
         """Evaluate one block: additive timestep conditioning, then pre-norm
         single-head attention and a pre-norm GELU MLP, both residual.
 
-        ``out`` and ``delta`` are the caller's rows (see the hook protocol in
-        the module docstring): given, the eval writes its output and delta
-        there and allocates nothing.  With no rows it allocates both; with an
-        output row and no delta row it computes no delta.  Every step writes
-        into the workspace.
+        ``out`` is the caller's row (see the hook protocol in the module
+        docstring): given, the eval writes its output there and allocates
+        nothing; with no row it allocates the output.  Either way it returns
+        the output.  Every intermediate lives in the workspace.
         """
         cfg = self.cfg
         if x.shape != (cfg.num_tokens, cfg.channels):
@@ -291,7 +277,6 @@ class Network:
         w = self.blocks[index]
         ws = self._ws
         self.eval_count += 1
-        want_delta = delta is not None or out is None
 
         # conditioning enters through the attention branch's norm only; the
         # residual stream itself carries x plus the two branch outputs, added
@@ -312,13 +297,11 @@ class Network:
             layer_norm_into(ws.a, LN_EPS, ws.hn, ws.ln_work, ws.ln_square, ws.row_stat)
             np.matmul(ws.hn, w.w1, out=ws.act)
             gelu_into(ws.act, ws.act, ws.gelu_work)
-        # with out=None, matmul and subtract allocate, after every temporary has
-        # been freed, so the allocating call peaks at its output and delta
+        # with out=None, matmul allocates after every temporary has been freed,
+        # so the allocating call peaks at its output
         out = np.matmul(ws.act, w.w2, out=out)
         out += ws.a
-        if want_delta:
-            delta = np.subtract(out, x, out=delta)
-        return BlockIO(x, out, delta)
+        return out
 
     def forward(self, z: Matrix, t: float, hook: Optional[BlockHook] = None) -> Matrix:
         """Run all blocks in order; the final output is the noise prediction.
@@ -335,11 +318,11 @@ class Network:
             last = cfg.num_blocks - 1
             rows = self._ws.rows
             for i in range(last):
-                x = self.block_forward(i, x, t_emb, rows[i % 2]).output
-            return self.block_forward(last, x, t_emb, np.empty(z.shape, dtype=np.float32)).output
+                x = self.block_forward(i, x, t_emb, rows[i % 2])
+            return self.block_forward(last, x, t_emb)
         for i in range(cfg.num_blocks):
-            def compute(out=None, delta=None, i=i, x=x):
-                return self.block_forward(i, x, t_emb, out, delta)
+            def compute(out=None, i=i, x=x):
+                return self.block_forward(i, x, t_emb, out)
 
             served = hook(i, x, compute)
             if not isinstance(served, np.ndarray) or served.shape != x.shape:

@@ -18,7 +18,15 @@ before the first prediction):
   unflagged blocks are served by prediction, extrapolating further.
 
 Steps outside the window are computed fully and refresh the cache but do not
-advance the phase counter.
+advance the phase counter.  A run's timesteps decrease (``begin_step``
+refuses one that does not), so it enters the window once and leaves it once:
+every ranked step directly follows a full step, and no anchor comes between
+a ranked step and its follow steps.
+
+Every served block's residual delta, its served output minus its input, is
+formed in one place, whether the block was computed or predicted: it gives
+the step's ``delta_l1`` and ``delta_l2``, a full step's reference deltas and
+the heavy trace's deltas.
 
 Every step that refreshes the cache computes every block, so the cache is one
 state shared by all blocks: the outputs of the last two compute-everything
@@ -70,12 +78,8 @@ def cosine_similarity(a: Matrix, b: Matrix) -> float:
     """
     if a.shape != b.shape:
         raise ShapeError(f"cosine_similarity: shapes differ ({a.shape} vs {b.shape})")
-    return _cosine_float64(a.astype(np.float64).ravel(), b.astype(np.float64).ravel())
-
-
-def _cosine_float64(av: np.ndarray, bv: np.ndarray) -> float:
-    """``cosine_similarity`` of two float64 vectors.  The norms are
-    ``sqrt(v.dot(v))``, which is what ``np.linalg.norm`` computes."""
+    # in float64; the norms are sqrt(v.dot(v)), which is what np.linalg.norm computes
+    av, bv = a.astype(np.float64).ravel(), b.astype(np.float64).ravel()
     return _cosine(float(av @ bv), math.sqrt(av.dot(av)), math.sqrt(bv.dot(bv)))
 
 
@@ -259,7 +263,6 @@ class SortblockEngine:
         self.preds: Optional[np.ndarray] = None  # this step's linear predictions
         self.ref_deltas: Optional[np.ndarray] = None  # the last full step's deltas, from the first on
         self._ref_norms: Optional[list[float]] = None  # their L2 norms: that step's delta_l2
-        self._slope_anchor: Optional[int] = None  # the anchor step self.slopes belongs to
         # float64 work rows: a predicted delta and its reference in the ranking
         # sweep; row 0 also widens each served delta for the step's statistics
         self._work64: Optional[np.ndarray] = None
@@ -269,22 +272,22 @@ class SortblockEngine:
         # the output rows of blocks computed off an anchor step, alternating, so
         # that no block writes over its own input
         self._rows: Optional[np.ndarray] = None
-        self._step = -1
-        self._t = -1
-        self._label = "outside"
-        self._record: Optional[StepRecord] = None
+        self._record: Optional[StepRecord] = None  # this step's step, timestep and phase
 
     def begin_step(self, step_index: int, t: int) -> None:
-        self._step = step_index
-        self._t = int(t)
+        t = int(t)
+        if self._record is not None and t >= self._record.timestep:
+            # the slopes of a ranked step serve its follow steps only if no
+            # anchor can come between them (see the module docstring)
+            raise SortblockError(f"timesteps must decrease: {t} after {self._record.timestep}")
         if self.cfg is None:
-            self._label = "full"
+            label = "full"
         else:
-            self._label, self.phase = step_phase(self._t, self.cfg.window, self.cfg.refresh_interval, self.phase)
+            label, self.phase = step_phase(t, self.cfg.window, self.cfg.refresh_interval, self.phase)
         self._record = StepRecord(
             step=step_index,
-            timestep=self._t,
-            phase=self._label,
+            timestep=t,
+            phase=label,
             flags=[],
             scores=None,
             delta_l1=[],
@@ -302,7 +305,7 @@ class SortblockEngine:
             raise SortblockError("engine hook called before begin_step")
         if self._served is None:
             self._allocate(x)
-        label = self._label
+        label = rec.phase
         anchor = label == "full" or label == "outside"
         if index == 0:
             if not anchor:
@@ -312,24 +315,21 @@ class SortblockEngine:
                 if label == "full" and self.ref_deltas is None:
                     self.ref_deltas = np.empty_like(self.values)
 
-        delta = self._deltas[index]
         if anchor or self.policy.flags[index]:
-            # the block writes its output and delta straight into the engine's
-            # rows: the anchor stack on a caching anchor step, a ping-pong row
-            # otherwise, and the served-delta stack
-            cache = anchor and self.values is not None
-            served = self.values[index] if cache else self._rows[index % 2]
-            compute(served, delta)
+            # the block writes its output straight into the engine's rows: the
+            # anchor stack on a caching anchor step, a ping-pong row otherwise
+            served = self.values[index] if anchor and self.values is not None else self._rows[index % 2]
+            compute(served)
             rec.evals += 1
             rec.flags.append(1)
-            if self.heavy:
-                self.trace.deltas[-1].append(delta.copy())
-            if cache and label == "full":
-                self.ref_deltas[index] = delta
         else:
             rec.flags.append(0)
             served = self._serve_from[index]
-            np.subtract(served, x, out=delta)
+        delta = np.subtract(served, x, out=self._deltas[index])
+        if self.heavy:
+            self.trace.deltas[-1].append(delta.copy())
+        if label == "full" and self.ref_deltas is not None:
+            self.ref_deltas[index] = delta
 
         if index == self.num_blocks - 1:
             rec.delta_l1, rec.delta_l2 = served_delta_stats(self._served, self._work64[0])
@@ -340,8 +340,8 @@ class SortblockEngine:
             if self.store_outputs:
                 self.trace.outputs.append(served.copy())
             if anchor:
-                self.interval = 0 if self.anchor_step is None else self._step - self.anchor_step
-                self.anchor_step = self._step
+                self.interval = 0 if self.anchor_step is None else rec.step - self.anchor_step
+                self.anchor_step = rec.step
         return served
 
     def _allocate(self, x: Matrix) -> None:
@@ -361,7 +361,8 @@ class SortblockEngine:
     def _predict_step(self, z: Matrix) -> None:
         """Predict every block for this ranked or follow step; on a ranked
         step, then build the interval's policy."""
-        ranked = self._label == "ranked"
+        rec = self._record
+        ranked = rec.phase == "ranked"
         if not ranked and self.policy is None:
             raise SortblockError("follow step before any ranked step")
         if self.anchor_step is None:
@@ -373,14 +374,15 @@ class SortblockEngine:
         elif self.interval == 0:  # a single anchor: degenerate copies
             self._serve_from = self.values
             predicted = self.num_blocks if ranked else self.num_blocks - sum(self.policy.flags)
-            self._record.degenerate_predictions += predicted
+            rec.degenerate_predictions += predicted
         else:
-            # linear_predict's operations on the stacks, so the same bits
-            if self._slope_anchor != self.anchor_step:
+            # linear_predict's operations on the stacks, so the same bits.  The
+            # slope is the anchor interval's: a ranked step directly follows a
+            # full anchor, and the follow steps after it share that anchor
+            if ranked:
                 np.subtract(self.values, self.prev_values, out=self.slopes)
                 np.divide(self.slopes, np.float32(self.interval), out=self.slopes)
-                self._slope_anchor = self.anchor_step
-            np.multiply(self.slopes, np.float32(self._step - self.anchor_step), out=self.preds)
+            np.multiply(self.slopes, np.float32(rec.step - self.anchor_step), out=self.preds)
             np.add(self.values, self.preds, out=self.preds)
             self._serve_from = self.preds
         if ranked:
@@ -396,12 +398,13 @@ class SortblockEngine:
         propagates recomputed outputs sequentially, so downstream deltas see
         partially corrected inputs.
         """
+        rec = self._record
         if self.policy_override is not None:
             try:
-                flags = [int(f) for f in self.policy_override[self._step]]
+                flags = [int(f) for f in self.policy_override[rec.step]]
             except KeyError:
                 raise ConfigError(
-                    f"policy override has no entry for ranked step {self._step}"
+                    f"policy override has no entry for ranked step {rec.step}"
                 ) from None
             if len(flags) != self.num_blocks:
                 raise ConfigError("policy override flag count != num_blocks")
@@ -424,8 +427,8 @@ class SortblockEngine:
             pred64[...] = delta
             ref64[...] = ref
             scores.append(_cosine(float(pred64 @ ref64), math.sqrt(pred64.dot(pred64)), ref_norm))
-        self.policy = select_blocks(scores, self.cfg.effective_rho(self._t))
-        self._record.scores = list(self.policy.scores)
+        self.policy = select_blocks(scores, self.cfg.effective_rho(rec.timestep))
+        rec.scores = list(self.policy.scores)
 
 
 def run_sortblock(

@@ -11,6 +11,7 @@ ratio is clamp(beta * poly(u), 0, 1).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,10 +35,13 @@ class RatioPolicy:
     def __post_init__(self):
         if self.poly.degree not in FIT_DEGREES:
             raise ConfigError(f"ratio polynomial degree must be one of {FIT_DEGREES}")
+        if not all(math.isfinite(c) for c in self.poly.coefficients):
+            # evaluate_ratio would clamp a NaN ratio to 0: no block recomputed
+            raise ConfigError("ratio polynomial coefficients must be finite")
         if not (0.0 <= self.beta <= 1.0):
             raise ConfigError("beta must lie in [0, 1]")
-        if not self.t_max > self.t_min:
-            raise ConfigError("normalization range must satisfy t_max > t_min")
+        if not (math.isfinite(self.t_min) and math.isfinite(self.t_max) and self.t_max > self.t_min):
+            raise ConfigError("normalization range must be finite and satisfy t_max > t_min")
 
     def evaluate(self, t: float) -> float:
         return evaluate_ratio(self, t)
@@ -76,6 +80,8 @@ def fit_ratio_policy(timesteps, l1_values, degree: int = DEFAULT_DEGREE, beta: f
     ys = np.asarray(l1_values, dtype=np.float64).ravel()
     if ts.shape != ys.shape:
         raise ConfigError("timesteps and l1_values lengths differ")
+    if not (np.isfinite(ts).all() and np.isfinite(ys).all()):
+        raise ConfigError("timesteps and l1_values must be finite")
     if len(ts) < degree + 1:
         raise ConfigError(f"need at least {degree + 1} samples for a degree-{degree} fit")
     t_min, t_max = float(ts.min()), float(ts.max())

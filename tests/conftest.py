@@ -15,22 +15,16 @@ from sortblock import (
     make_schedule,
     record_baseline,
 )
-from sortblock.dit import BlockIO
 
 
-def block_io(x, value, out=None, delta=None):
-    """The ``BlockIO`` of a block whose output is ``value``, by the row rule
-    of ``Network.block_forward``: given rows are written; with no rows, the
-    output is ``value`` and the delta is allocated; with an output row alone
-    there is no delta."""
-    want_delta = delta is not None or out is None
+def block_output(value, out=None):
+    """What ``compute(out)`` returns for a block whose output is ``value``,
+    by the row rule of ``Network.block_forward``: a given row is written and
+    returned; with no row, the output is ``value``."""
     if out is None:
-        out = value
-    else:
-        out[...] = value
-    if want_delta:
-        delta = np.subtract(out, x, out=delta)
-    return BlockIO(input=x, output=out, delta=delta)
+        return value
+    out[...] = value
+    return out
 
 
 class AffineNetwork:
@@ -74,9 +68,9 @@ class AffineNetwork:
                 self.eval_count += 1
                 x = out
             else:
-                def compute(out=None, delta=None, i=i, x=x):
+                def compute(out=None, i=i):
                     self.eval_count += 1
-                    return block_io(x, self._output(i, t), out, delta)
+                    return block_output(self._output(i, t), out)
 
                 x = hook(i, x, compute)
         return x

@@ -1,6 +1,6 @@
 """The block forward runs in place in its Network's workspace; it must still
-produce the bits of the plain formulas, allocate nothing but its output and
-delta, and a warm cached run must not page-fault on every block eval.
+produce the bits of the plain formulas, allocate nothing but its output, and
+a warm cached run must not page-fault on every block eval.
 
 The reference functions below are the plain, temporary-per-operation versions
 of ``layer_norm`` (float64), ``softmax_rows`` and ``gelu`` (float32) and
@@ -35,7 +35,7 @@ from sortblock import (
     softmax_rows,
     timestep_embedding,
 )
-from conftest import block_io
+from conftest import block_output
 from sortblock.dit import LN_EPS
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -91,11 +91,11 @@ def reference_block_forward(net, index, x, t_emb):
     return a + reference_gelu(an @ w.w1) @ w.w2
 
 
-def reference_block_io(net, index, x, t_emb, out=None, delta=None):
+def reference_block_output(net, index, x, t_emb, out=None):
     """A drop-in ``Network.block_forward`` built on the reference block,
-    writing into the caller's rows when given."""
+    writing into the caller's row when given."""
     net.eval_count += 1
-    return block_io(x, reference_block_forward(net, index, x, t_emb), out, delta)
+    return block_output(reference_block_forward(net, index, x, t_emb), out)
 
 
 def assert_same_bits(got, want):
@@ -206,12 +206,13 @@ class TestBlockForwardMatchesReference:
     @given(st.integers(0, 11), st.integers(0, 999), st.integers(0, 2**32 - 1), st.sampled_from([0.01, 1.0, 30.0]))
     def test_block_forward(self, default_net, index, t, seed, scale):
         x = (np.random.default_rng(seed).standard_normal((64, 64)) * scale).astype(np.float32)
+        x_before = x.copy()
         t_emb = timestep_embedding(t, default_net.d_emb)
-        io = default_net.block_forward(index, x, t_emb)
+        out = default_net.block_forward(index, x, t_emb)
         want = reference_block_forward(default_net, index, x, t_emb)
-        assert_same_bits(io.output, want)
-        assert_same_bits(io.delta, want - x)
-        assert io.input is x
+        assert_same_bits(out, want)
+        assert_same_bits(out - x, want - x)
+        assert_same_bits(x, x_before)
 
 
 def _inputs(count, seed=11):
@@ -220,12 +221,12 @@ def _inputs(count, seed=11):
 
 
 class TestWorkspace:
-    # Python objects made per eval (BlockIO, array headers, views), about
-    # 1 KiB; kernels with per-call float64 temporaries peak about 260 KiB
-    # above the output and delta
+    # Python objects made per eval (array headers, views), under 1 KiB;
+    # kernels with per-call float64 temporaries peak about 260 KiB above the
+    # output
     ALLOCATION_SLACK_BYTES = 4096
 
-    def test_block_forward_allocates_only_output_and_delta(self, default_net):
+    def test_block_forward_allocates_only_its_output(self, default_net):
         x = _inputs(1)[0]
         t_emb = timestep_embedding(500, default_net.d_emb)
         for _ in range(3):
@@ -233,45 +234,40 @@ class TestWorkspace:
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            io = default_net.block_forward(5, x, t_emb)
+            out = default_net.block_forward(5, x, t_emb)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        escaping = io.output.nbytes + io.delta.nbytes
-        assert peak - before <= escaping + self.ALLOCATION_SLACK_BYTES
+        assert peak - before <= out.nbytes + self.ALLOCATION_SLACK_BYTES
 
     def test_block_forward_with_rows_allocates_no_row(self, default_net):
-        """Given rows for its output and delta, an eval allocates nothing the
-        size of a row: every intermediate lives in the workspace, and no
-        ufunc broadcasts an operand (which would make numpy allocate iterator
+        """Given a row for its output, an eval allocates nothing the size of
+        a row: every intermediate lives in the workspace, and no ufunc
+        broadcasts an operand (which would make numpy allocate iterator
         buffers)."""
         x = _inputs(1)[0]
         t_emb = timestep_embedding(500, default_net.d_emb)
-        out, delta = np.empty_like(x), np.empty_like(x)
+        out = np.empty_like(x)
         for _ in range(3):
-            default_net.block_forward(5, x, t_emb, out, delta)
+            default_net.block_forward(5, x, t_emb, out)
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            io = default_net.block_forward(5, x, t_emb, out, delta)
+            got = default_net.block_forward(5, x, t_emb, out)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert io.output is out and io.delta is delta
+        assert got is out
         assert peak - before < x.nbytes
 
     def test_rows_give_the_bits_of_the_allocating_call(self, default_net):
         t_emb = timestep_embedding(321, default_net.d_emb)
-        rows = np.full((2, 64, 64), np.nan, dtype=np.float32)
         for index, x in enumerate(_inputs(default_net.num_blocks, seed=12)):
+            row = np.full((64, 64), np.nan, dtype=np.float32)
             want = default_net.block_forward(index, x, t_emb)
-            got = default_net.block_forward(index, x, t_emb, rows[0], rows[1])
-            assert_same_bits(rows[0], want.output)
-            assert_same_bits(rows[1], want.delta)
-            alone = default_net.block_forward(index, x, t_emb, rows[0])
-            assert alone.delta is None
-            assert_same_bits(alone.output, want.output)
-            assert got.input is x
+            assert default_net.block_forward(index, x, t_emb, row) is row
+            assert_same_bits(row, want)
+            assert_same_bits(row - x, want - x)
 
     def test_successive_forwards_return_distinct_arrays(self, default_net):
         """The hook-free forward keeps block outputs in the workspace's rows
@@ -297,13 +293,12 @@ class TestWorkspace:
         for i, x in enumerate(_inputs(12)):
             net = nets[i % len(nets)]
             index = (5 * i) % net.num_blocks
-            io = net.block_forward(index, x, t_emb)
+            out = net.block_forward(index, x, t_emb)
             want = reference_block_forward(net, index, x, t_emb)
-            assert_same_bits(io.output, want)
-            kept.append((io, io.output.copy(), io.delta.copy()))
-        for io, output, delta in kept:
-            assert_same_bits(io.output, output)
-            assert_same_bits(io.delta, delta)
+            assert_same_bits(out, want)
+            kept.append((out, out.copy()))
+        for out, output in kept:
+            assert_same_bits(out, output)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -322,7 +317,7 @@ def test_whole_runs_match_reference_block(monkeypatch, default_sched, default_ru
         return plain, cached, doc
 
     plain, cached, doc = whole_run()
-    monkeypatch.setattr(Network, "block_forward", reference_block_io)
+    monkeypatch.setattr(Network, "block_forward", reference_block_output)
     want_plain, want_cached, want_doc = whole_run()
     assert_same_bits(plain, want_plain)
     assert_same_bits(cached, want_cached)

@@ -105,6 +105,20 @@ class TestFit:
             residuals[degree] = float(line.split("rms residual ")[1].split(";")[0])
         assert residuals[5] <= residuals[3] + 1e-12
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_curve_sample_exits_1(self, tmp_path, capsys, bad):
+        """A curve with a non-finite sample would fit all-NaN coefficients,
+        which turn recomputation off; fit names the line and writes no
+        policy."""
+        rows = [(100 * i, 0.1 * i) for i in range(1, 9)]
+        rows[3] = (400, bad)
+        (tmp_path / "curve.csv").write_text("step,l1\n" + "".join(f"{t},{y}\n" for t, y in rows))
+        rc = _run_main(["fit", "--curve", tmp_path / "curve.csv", "--degree", "3", "--out-dir", tmp_path])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "curve.csv: line 5" in err and "Traceback" not in err
+        assert not (tmp_path / "ratio_policy.json").exists()
+
     def test_malformed_csv_line_number(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("step,l1\n1.0,2.0\noops,not-a-number\n")
         rc = _run_main(["fit", "--curve", tmp_path / "bad.csv", "--out-dir", tmp_path])

@@ -20,7 +20,7 @@ from sortblock import (
     standard_normal,
     uniform_step_list,
 )
-from conftest import block_io
+from conftest import block_output
 from sortblock import cli
 
 
@@ -226,18 +226,18 @@ class DivergingNetwork:
         self.num_blocks = num_blocks
         self.eval_count = 0
 
-    def _compute(self, i, x, t, out=None, delta=None):
+    def _compute(self, i, x, t, out=None):
         self.eval_count += 1
         value = np.zeros_like(x)
         if i == self.num_blocks - 1 and t == self.bad_t:
             value[0, 0] = self.value
-        return block_io(x, value, out, delta)
+        return block_output(value, out)
 
     def forward(self, z, t, hook=None):
         x = z
         for i in range(self.num_blocks):
-            compute = lambda out=None, delta=None, i=i, x=x: self._compute(i, x, t, out, delta)
-            x = compute().output if hook is None else hook(i, x, compute)
+            compute = lambda out=None, i=i, x=x: self._compute(i, x, t, out)
+            x = compute() if hook is None else hook(i, x, compute)
         return x
 
 

@@ -8,6 +8,7 @@ from sortblock import (
     DitConfig,
     Rng,
     ShapeError,
+    SortblockEngine,
     cosine_similarity,
     init_network,
     network_forward,
@@ -136,30 +137,35 @@ class TestBlockForward:
         cfg = DitConfig(num_blocks=2, num_tokens=4, channels=8)
         net = _zero_weight_network(cfg)
         x = standard_normal(Rng(0), 4, 8)
-        io = net.block_forward(0, x, timestep_embedding(5, 8))
-        assert np.array_equal(io.output, x)
-        assert np.all(io.delta == 0.0)
+        out = net.block_forward(0, x, timestep_embedding(5, 8))
+        assert np.array_equal(out, x)
+        assert np.all(out - x == 0.0)
 
     def test_repeated_calls_identical(self, default_net):
         x = standard_normal(Rng(1), 64, 64)
         t_emb = timestep_embedding(100, 64)
         a = default_net.block_forward(0, x, t_emb)
         b = default_net.block_forward(0, x, t_emb)
-        assert np.array_equal(a.output, b.output)
+        assert np.array_equal(a, b)
 
     def test_random_smoke_delta_finite_nonzero(self, default_net):
         x = standard_normal(Rng(2), 64, 64)
-        io = default_net.block_forward(3, x, timestep_embedding(500, 64))
-        norm = float(np.linalg.norm(io.delta))
+        out = default_net.block_forward(3, x, timestep_embedding(500, 64))
+        norm = float(np.linalg.norm(out - x))
         assert np.isfinite(norm) and norm > 0.0
 
     def test_residual_consistency_exact(self, default_net):
+        """The deltas a full-compute engine records are each block's output
+        minus its input, exactly."""
         x = standard_normal(Rng(3), 64, 64)
         t_emb = timestep_embedding(250, 64)
-        for i in range(default_net.num_blocks):
-            io = default_net.block_forward(i, x, t_emb)
-            assert np.array_equal(io.delta, io.output - io.input)
-            x = io.output
+        engine = SortblockEngine(None, default_net.num_blocks, heavy=True)
+        engine.begin_step(0, 250)
+        network_forward(default_net, x, 250, engine)
+        for i, delta in enumerate(engine.trace.deltas[0]):
+            out = default_net.block_forward(i, x, t_emb)
+            assert np.array_equal(delta, out - x)
+            x = out
 
     def test_shape_check(self, default_net):
         with pytest.raises(ShapeError):
@@ -170,7 +176,7 @@ class TestNetworkForward:
     def test_identity_hook_matches_plain_forward(self, default_net):
         z = standard_normal(Rng(4), 64, 64)
         plain = network_forward(default_net, z, 300)
-        hooked = network_forward(default_net, z, 300, lambda i, x, compute: compute().output)
+        hooked = network_forward(default_net, z, 300, lambda i, x, compute: compute())
         assert np.array_equal(plain, hooked)
 
     def test_input_passthrough_hook_yields_input(self, default_net):
@@ -183,9 +189,9 @@ class TestNetworkForward:
         cached = []
 
         def recording(i, x, compute):
-            io = compute()
-            cached.append(io.output)
-            return io.output
+            out = compute()
+            cached.append(out)
+            return out
 
         first = network_forward(default_net, z, 123, recording)
 
@@ -200,29 +206,30 @@ class TestNetworkForward:
 
         def counting(i, x, compute):
             calls.append(i)
-            return compute().output
+            return compute()
 
         network_forward(default_net, standard_normal(Rng(7), 64, 64), 50, counting)
         assert calls == list(range(default_net.num_blocks))
 
-    def test_hook_rows_receive_output_and_delta(self, default_net):
+    def test_hook_rows_receive_output(self, default_net):
         """A hook that hands ``compute`` its own rows serves what the
-        hook-free forward computes, and each delta row holds output - input."""
+        hook-free forward computes, and each row holds its block's output on
+        the input the hook was handed."""
         z = standard_normal(Rng(10), 64, 64)
-        rows = np.empty((default_net.num_blocks, 2, 64, 64), dtype=np.float32)
+        rows = np.empty((default_net.num_blocks, 64, 64), dtype=np.float32)
         inputs = []
 
         def into_rows(i, x, compute):
             inputs.append(x)
-            out, delta = rows[i]
-            io = compute(out, delta)
-            assert io.output is out and io.delta is delta and io.input is x
-            return out
+            row = rows[i]
+            assert compute(row) is row
+            return row
 
         hooked = network_forward(default_net, z, 77, into_rows)
         assert np.array_equal(hooked, network_forward(default_net, z, 77))
-        for (out, delta), x in zip(rows, inputs):
-            assert np.array_equal(delta, out - x)
+        t_emb = timestep_embedding(77, 64)
+        for i, (row, x) in enumerate(zip(rows, inputs)):
+            assert np.array_equal(row, default_net.block_forward(i, x, t_emb))
 
     def test_bad_hook_shape_raises(self, default_net):
         with pytest.raises(ShapeError):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import block_io
+from conftest import block_output
 from sortblock import (
     BlockCacheEntry,
     ConfigError,
@@ -30,7 +30,7 @@ from sortblock import (
     select_blocks,
     standard_normal,
 )
-from sortblock.engine import _NORM_FLOOR, ZERO_DELTA_SIMILARITY, _cosine_float64
+from sortblock.engine import _NORM_FLOOR, ZERO_DELTA_SIMILARITY
 
 
 def _bits(scores):
@@ -97,7 +97,7 @@ class TestCosineSimilarity:
     @example(([-0.7322673547034516, -0.5442589828573099, -0.31630015636915454], [0.0] * 3), 1.0)
     @example(([0.4116305363741328, 1.0425133694426776, -0.12853466294403426], [0.0] * 3), -1.0)
     def test_clamp_is_the_bits_of_np_clip(self, vectors, scale):
-        """The scalar clamp of ``_cosine_float64`` returns the raw float64
+        """The scalar clamp of ``cosine_similarity`` returns the raw float64
         words of ``float(np.clip(c, -1.0, 1.0))``, NaN included; ``scale``
         makes ``b`` a multiple of ``a``, so the quotient lands on or past +-1."""
         a, b = (np.array(v, dtype=np.float64) for v in vectors)
@@ -109,7 +109,7 @@ class TestCosineSimilarity:
                 expected = ZERO_DELTA_SIMILARITY
             else:
                 expected = float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
-            assert _bits([_cosine_float64(a, b)]) == _bits([expected])
+            assert _bits([cosine_similarity(a, b)]) == _bits([expected])
 
 
 class TestLinearPredict:
@@ -268,7 +268,7 @@ class TestLifecyclePhases:
             x = z
             for i, out in enumerate(outputs):
                 out = outputs[i - 1] if i == 3 else out  # block 3: zero delta
-                x = engine(i, x, lambda row=None, delta=None, x=x, out=out: block_io(x, out, row, delta))
+                x = engine(i, x, lambda row=None, out=out: block_output(out, row))
             return x
 
         z = rng.standard_normal((4, 4)).astype(np.float32)
@@ -490,6 +490,15 @@ class TestEngineMisuse:
         with pytest.raises(SortblockError, match="before the first full compute"):
             engine(0, np.zeros((64, 64), dtype=np.float32), lambda: None)
 
+    @pytest.mark.parametrize("t", [500, 501])
+    def test_timestep_that_does_not_decrease_raises(self, t):
+        """Predictions reuse the slopes of the ranked step, which holds only
+        if a run enters the window once: its timesteps must decrease."""
+        engine = SortblockEngine(SortblockConfig(refresh_interval=5, window=(900, 100)), 12)
+        engine.begin_step(0, 500)
+        with pytest.raises(SortblockError, match="timesteps must decrease"):
+            engine.begin_step(1, t)
+
     def test_accounting_mismatch_raises_under_optimize(self):
         """The runtime checks are raises, not asserts, so they hold under -O."""
         src = Path(__file__).resolve().parent.parent / "src"
@@ -547,7 +556,7 @@ class TestEngineAllocation:
             engine.begin_step(index, t)
             x = z
             for b in range(n):
-                x = engine(b, x, lambda out=None, delta=None, b=b, x=x: block_io(x, outputs[b], out, delta))
+                x = engine(b, x, lambda out=None, b=b: block_output(outputs[b], out))
 
         # outside, full, ranked, 3 x follow, full: the next ranked step is warm
         timesteps = [950, 900, 880, 860, 840, 820, 800, 780, 760]

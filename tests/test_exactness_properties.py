@@ -9,6 +9,10 @@ serves copies).
   float32) any rho < 1 is exact too, for windows that the sampler enters
   after at least one outside step: linear extrapolation is then exact.
 * The trace's eval total equals ``expected_eval_count``.
+* Under ``step_phase``, every ranked step directly follows a full step, and
+  follow steps follow a ranked or follow step: the engine computes the
+  anchor interval's slopes on the ranked step and reuses them until the next
+  anchor.
 """
 
 import numpy as np
@@ -27,7 +31,9 @@ from sortblock import (
     recompute_quota,
     run_sortblock,
     sample,
+    uniform_step_list,
 )
+from sortblock.engine import step_phase
 
 SCHED = make_schedule(1000)
 NET = init_network(DitConfig(num_blocks=4, num_tokens=8, channels=16))
@@ -84,6 +90,24 @@ def test_empty_window_is_plain_sampling(run_window, k, rho):
     assert latent.tobytes() == sample(NET, run, SCHED).tobytes()
     assert {r.phase for r in trace.steps} == {"outside"}
     _assert_accounted(trace, run, cfg, NET.num_blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 80), st.integers(2, 9), st.integers(0, 1000), st.integers(0, 1000))
+def test_ranked_steps_directly_follow_full_steps(n, k, a, b):
+    """Over a sampler step list (strictly decreasing timesteps) and any
+    window, including ones that hold no step or one."""
+    window = (max(a, b) + 1, min(a, b))
+    labels, counter = [], None
+    for t in uniform_step_list(1000, n):
+        label, counter = step_phase(t, window, k, counter)
+        labels.append(label)
+    assert labels[0] != "ranked" and labels[0] != "follow"
+    for prev, label in zip(labels, labels[1:]):
+        if label == "ranked":
+            assert prev == "full"
+        elif label == "follow":
+            assert prev in ("ranked", "follow")
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,6 +1,7 @@
 """Malformed input files.  Policy and latent blob files raise ParseError
 naming the path, through the library and through the CLI (exit 1, one
-``error:`` line); config files and curve CSVs that are not UTF-8 exit 1 too.
+``error:`` line); config files and curve CSVs that are not UTF-8, and config
+files holding a value of the wrong type for its key, exit 1 too.
 A heavy trace with a missing or truncated tensor file, or a ``trace.json`` or
 ``tensors.json`` that is not JSON, is truncated, or lacks a field or has one
 of the wrong type, raises ParseError naming that file."""
@@ -54,6 +55,27 @@ BAD_POLICIES = {
     "coefficient_count": _policy_doc(coefficients=[0.1, 0.2]),
     "beta_out_of_range": _policy_doc(beta=2.0),
     "empty_range": _policy_doc(t_min=5.0, t_max=5.0),
+    "coefficient_nan": _policy_doc(coefficients=[0.1, float("nan"), 0.0, 0.3]),
+    "coefficient_infinite": _policy_doc(coefficients=[0.1, 0.2, float("-inf"), 0.3]),
+    "range_infinite": _policy_doc(t_max=float("inf")),
+}
+
+# config documents whose one key holds a value of the wrong JSON type
+BAD_CONFIGS = {
+    "int_as_string": {"steps": "fifty"},
+    "int_as_float": {"steps": 50.0},
+    "int_as_bool": {"blocks": True},
+    "int_as_null": {"seed": None},
+    "float_as_bool": {"rho": False},
+    "float_as_string": {"beta_start": "1e-4"},
+    "bool_as_int": {"heavy_trace": 1},
+    "string_as_number": {"mode": 1},
+    "list_as_int": {"seeds": 3},
+    "list_item_as_string": {"seeds": [0, "1"]},
+    "list_item_as_bool": {"seeds": [0, True]},
+    "list_as_string": {"metrics": "psnr"},
+    "optional_int_as_float": {"window_high": 900.5},
+    "optional_float_as_string": {"beta": "0.5"},
 }
 
 
@@ -114,6 +136,7 @@ def _assert_one_error_line(capsys, path):
     assert len(lines) == 1, err
     assert lines[0].startswith("error: ") and str(path) in lines[0]
     assert "Traceback" not in err
+    return lines[0]
 
 
 @pytest.mark.parametrize("case", sorted(BAD_POLICIES))
@@ -144,6 +167,16 @@ def test_cli_non_utf8_config_and_curve_exit_1(tmp_path, capsys, argv):
     rc = main([a.format(path=path, out=tmp_path / "out") for a in argv])
     assert rc == 1
     _assert_one_error_line(capsys, path)
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "K", "--values", "3"]])
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_cli_config_value_of_wrong_type_exits_1(tmp_path, capsys, case, command):
+    path = _write(tmp_path / "config.json", json.dumps(BAD_CONFIGS[case]))
+    rc = main([*command, "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    (key,) = BAD_CONFIGS[case]
+    assert repr(key) in _assert_one_error_line(capsys, path)
 
 
 @pytest.fixture(scope="module")

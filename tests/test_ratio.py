@@ -100,6 +100,13 @@ class TestFitRatioPolicy:
         with pytest.raises(ConfigError):
             fit_ratio_policy([0, 1, 2], [0.1, 0.2, 0.3], degree=3)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sample_raises(self, bad):
+        """A non-finite sample would fit non-finite coefficients (a raise,
+        so it holds under -O)."""
+        with pytest.raises(ConfigError, match="finite"):
+            fit_ratio_policy([0, 10, 20, 30, 40], [0.1, 0.9, bad, 0.8, 0.2], degree=3)
+
     def test_fit_determinism(self):
         ts = np.linspace(0, 100, 12)
         ys = np.sin(ts / 30.0) ** 2
@@ -109,6 +116,18 @@ class TestFitRatioPolicy:
 
 
 class TestEvaluateRatio:
+    @pytest.mark.parametrize("coefficient", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coefficient_rejected(self, coefficient):
+        """evaluate_ratio would clamp a NaN ratio to 0 and so recompute no
+        block: a policy with a non-finite coefficient cannot be made."""
+        with pytest.raises(ConfigError, match="finite"):
+            RatioPolicy(poly=Polynomial(3, (0.5, coefficient, 0.0, 0.0)), beta=1.0, t_min=0, t_max=100)
+
+    @pytest.mark.parametrize("t_min, t_max", [(0.0, float("inf")), (float("-inf"), 100.0), (float("nan"), 100.0)])
+    def test_non_finite_range_rejected(self, t_min, t_max):
+        with pytest.raises(ConfigError):
+            RatioPolicy(poly=Polynomial(3, (0.5, 0.0, 0.0, 0.0)), beta=1.0, t_min=t_min, t_max=t_max)
+
     def test_beta_zero(self):
         policy = fit_ratio_policy([0, 10, 20, 30, 40], [0.1, 0.9, 0.3, 0.8, 0.2], degree=3, beta=0.0)
         for t in (-100, 0, 20, 40, 1000):
