@@ -11,13 +11,14 @@ reader sees the old file or the whole new one, never a torn write.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, checked, read_json, schema
 
 MAGIC = b"SORTBLOCK-LATENT"
 
@@ -71,6 +72,9 @@ def write_latent(path, latent: np.ndarray, seed: int, config_hash: str) -> None:
     write_atomic(path, (MAGIC, struct.pack("<I", len(header_bytes)), header_bytes, payload))
 
 
+_HEADER_FIELDS = schema({"shape": list[int], "dtype": str})
+
+
 def read_latent(path) -> tuple[np.ndarray, dict]:
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 4 or raw[: len(MAGIC)] != MAGIC:
@@ -78,24 +82,16 @@ def read_latent(path) -> tuple[np.ndarray, dict]:
     offset = len(MAGIC)
     (header_len,) = struct.unpack_from("<I", raw, offset)
     offset += 4
-    try:
-        header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: malformed blob header: {exc}") from exc
+    if offset + header_len > len(raw):
+        raise ParseError(f"{path}: header length {header_len} runs past the end of the file ({len(raw)} bytes)")
+    header = checked(path, read_json(path, raw[offset : offset + header_len]), _HEADER_FIELDS)
     offset += header_len
-    if not isinstance(header, dict):
-        raise ParseError(f"{path}: blob header is not a JSON object")
-    if header.get("dtype") != "f32le":
-        raise ParseError(f"{path}: unsupported dtype {header.get('dtype')!r}")
-    try:
-        shape = tuple(int(v) for v in header["shape"])
-    except KeyError:
-        raise ParseError(f"{path}: blob header has no shape") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: malformed shape {header['shape']!r}: {exc}") from exc
+    if header["dtype"] != "f32le":
+        raise ParseError(f"{path}: unsupported dtype {header['dtype']!r}")
+    shape = tuple(header["shape"])
     if any(v < 0 for v in shape):
         raise ParseError(f"{path}: negative dimension in shape {list(shape)}")
-    expected = int(np.prod(shape)) * 4
+    expected = math.prod(shape) * 4
     payload = raw[offset:]
     if len(payload) != expected:
         raise ParseError(f"{path}: payload is {len(payload)} bytes, expected {expected}")

@@ -21,7 +21,7 @@ import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import blob
 from .diffusion import NoiseSchedule, make_run, make_schedule, uniform_step_list
 from .dit import DitConfig, init_network
 from .engine import PolicySequence, SortblockConfig, inner_window, run_sortblock
-from .errors import ConfigError, NonFiniteError, ParseError, SortblockError
+from .errors import ConfigError, NonFiniteError, ParseError, SortblockError, checked, read_json, schema
 from .metrics import latent_pair_to_images, psnr, relative_l2, ssim
 from .ratio import (
     DEFAULT_DEGREE,
@@ -162,35 +162,17 @@ class ExperimentConfig:
         return digest[:16]
 
 
+_CONFIG_FIELDS = schema(typing.get_type_hints(ExperimentConfig))
+
+
 def load_config_file(path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(doc) - set(fields)
+    """The options a JSON config file sets: an object whose keys are
+    ``ExperimentConfig`` fields, each optional and of its field's type."""
+    doc = checked(path, read_json(path), {})
+    unknown = doc.keys() - _CONFIG_FIELDS.keys()
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    types = typing.get_type_hints(ExperimentConfig)
-    for key, value in doc.items():
-        if not _has_type(value, types[key]):
-            raise ConfigError(f"{path}: config key {key!r} must be {fields[key].type}, got {json.dumps(value)}")
-    return doc
-
-
-def _has_type(value, hint) -> bool:
-    """Whether a JSON value fits an ``ExperimentConfig`` field type: a bool is
-    not an int, an int is a float, and null fits only an Optional field."""
-    if typing.get_origin(hint) is Union:
-        return any(_has_type(value, arg) for arg in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
-        (item,) = typing.get_args(hint)
-        return isinstance(value, list) and all(_has_type(v, item) for v in value)
-    if hint is float:
-        hint = (int, float)
-    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+    return checked(path, doc, {key: _CONFIG_FIELDS[key] for key in doc})
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:

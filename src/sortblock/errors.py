@@ -1,4 +1,17 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one JSON reader.
+
+Every JSON file the package reads (ratio policies, latent blob headers,
+configs, ``trace.json`` and ``tensors.json``) goes through ``read_json`` and
+``checked``: a value has type T only when the exact type ``json`` parses it
+to is one that T allows.  A bool is not a number, an int is a float, null
+fits only an ``Optional`` field, and a ``list[T]`` holds only T.  Nothing is
+coerced: ``"3"``, ``3.7`` and ``true`` are not the int 3.  A file that breaks
+the rule raises ``ParseError`` naming it.
+"""
+
+import json
+import typing
+from pathlib import Path
 
 
 class SortblockError(Exception):
@@ -31,3 +44,50 @@ class ResourceError(SortblockError):
 
 class ParseError(SortblockError):
     """A structured input file (CSV, JSON, blob) is malformed."""
+
+
+def read_json(path, data: bytes | None = None):
+    """The JSON document held by the file at ``path``, or by ``data``, bytes
+    read from it; ParseError naming ``path`` if they are not UTF-8 JSON."""
+    try:
+        return json.loads((Path(path).read_bytes() if data is None else data).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an int past the digit limit, deep nesting
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+
+
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), list: (list,), dict: (dict,),
+               type(None): (type(None),)}
+
+
+def schema(hints: dict) -> dict:
+    """Per key of ``hints`` (a type hint per key, as ``typing.get_type_hints``
+    gives), the pair (the JSON types a value may have, the types of its items
+    if it is a ``list[T]``, else ()), which ``checked`` reads."""
+    return {key: _json_types(hint) for key, hint in hints.items()}
+
+
+def _json_types(hint) -> tuple[tuple, tuple]:
+    if typing.get_origin(hint) is typing.Union:
+        pairs = [_json_types(arg) for arg in typing.get_args(hint)]
+        return sum((types for types, _ in pairs), ()), sum((items for _, items in pairs), ())
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return (list,), _json_types(item)[0]
+    return _JSON_TYPES[hint], ()
+
+
+def checked(path, doc, fields: dict) -> dict:
+    """``doc``, which must be a JSON object with every key of ``fields`` (a
+    ``schema``), each value of its type; otherwise ParseError naming ``path``.
+    Keys that ``fields`` does not name are not looked at."""
+    if type(doc) is not dict:
+        raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    for key, (types, items) in fields.items():
+        if key not in doc:
+            raise ParseError(f"{path}: missing field {key!r}")
+        value = doc[key]
+        if type(value) not in types or (
+            items and type(value) is list and not all(type(v) in items for v in value)
+        ):
+            raise ParseError(f"{path}: field {key!r} has the wrong type")
+    return doc

@@ -465,11 +465,10 @@ class Polynomial:
 
 
 def polyfit(xs, ys, degree: int) -> Polynomial:
-    """Least-squares polynomial fit via normal equations.
-
-    Solves (V^T V) c = V^T y in float64 with Gaussian elimination and partial
-    pivoting.  Callers are expected to pre-normalize xs to [0, 1] so the
-    Vandermonde system stays well conditioned.
+    """Least-squares polynomial fit: ``np.linalg.lstsq`` on the float64
+    Vandermonde matrix, which raises FitError when its rank is below
+    degree + 1.  Callers are expected to pre-normalize xs to [0, 1] so the
+    system stays well conditioned.
     """
     xs = np.asarray(xs, dtype=np.float64).ravel()
     ys = np.asarray(ys, dtype=np.float64).ravel()
@@ -477,34 +476,12 @@ def polyfit(xs, ys, degree: int) -> Polynomial:
         raise FitError(f"polyfit: xs and ys lengths differ ({len(xs)} vs {len(ys)})")
     if len(xs) < degree + 1:
         raise FitError(f"polyfit: need at least {degree + 1} samples, got {len(xs)}")
-    vander = np.vander(xs, degree + 1, increasing=True)
-    gram = vander.T @ vander
-    rhs = vander.T @ ys
-    coeffs = _solve_gaussian(gram, rhs)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise FitError("polyfit: xs and ys must be finite")
+    coeffs, _, rank, _ = np.linalg.lstsq(np.vander(xs, degree + 1, increasing=True), ys, rcond=None)
+    if rank < degree + 1:
+        raise FitError(f"polyfit: rank-deficient fit (rank {rank} < {degree + 1})")
     return Polynomial(degree, tuple(float(c) for c in coeffs))
-
-
-def _solve_gaussian(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b (square, float64) by Gaussian elimination, partial pivoting."""
-    a = a.astype(np.float64).copy()
-    b = b.astype(np.float64).copy()
-    n = len(b)
-    ref = max(float(np.abs(a).max()), 1.0)
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        pivot = a[pivot_row, col]
-        if abs(pivot) <= 1e-13 * ref:
-            raise FitError("singular normal-equation system (rank-deficient fit)")
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= factors[:, None] * a[col, col:]
-        b[col + 1 :] -= factors * b[col]
-    x = np.empty(n, dtype=np.float64)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
 
 
 def poly_eval(p: Polynomial, x: float) -> float:

@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FitError, MissingDataError, ParseError
+from .errors import ConfigError, FitError, MissingDataError, ParseError, checked, read_json, schema
 from .numerics import Polynomial, poly_eval, polyfit
 from .trace import RunTrace
 
@@ -130,24 +129,20 @@ def save_policy(policy: RatioPolicy, path) -> None:
     write_atomic(path, (json.dumps(doc, indent=1).encode("utf-8"),))
 
 
+_POLICY_FIELDS = schema({"degree": int, "coefficients": list[float], "beta": float, "t_min": float, "t_max": float})
+
+
 def load_policy(path) -> RatioPolicy:
     """Read a policy written by ``save_policy``; any malformed content (not
     JSON, not an object, a missing or mistyped field, an invalid policy)
-    raises ``ParseError`` naming the path."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: invalid policy JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: a policy must be a JSON object")
+    raises ``ParseError`` naming the path.  Integer numbers load as floats."""
+    doc = checked(path, read_json(path), _POLICY_FIELDS)
     try:
         return RatioPolicy(
-            poly=Polynomial(int(doc["degree"]), tuple(float(c) for c in doc["coefficients"])),
+            poly=Polynomial(doc["degree"], tuple(map(float, doc["coefficients"]))),
             beta=float(doc["beta"]),
             t_min=float(doc["t_min"]),
             t_max=float(doc["t_max"]),
         )
-    except KeyError as exc:
-        raise ParseError(f"{path}: policy lacks the key {exc}") from exc
-    except (TypeError, ValueError, OverflowError, ConfigError, FitError) as exc:
+    except (OverflowError, ConfigError, FitError) as exc:  # OverflowError: an int too large for a float
         raise ParseError(f"{path}: invalid policy: {exc}") from exc

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .diffusion import NoiseSchedule, SamplerRun, sample
-from .errors import ConfigError, MissingDataError, ParseError, ResourceError
+from .errors import ConfigError, MissingDataError, ParseError, ResourceError, checked, read_json, schema
 from .metrics import kendall_tau
 from .numerics import Matrix
 
@@ -232,7 +233,7 @@ def load_trace(directory) -> RunTrace:
     file, raise ``ParseError`` naming the file."""
     directory = Path(directory)
     path = directory / "trace.json"
-    doc = _checked(path, _read_json(path), _TRACE_FIELDS)
+    doc = checked(path, read_json(path), _TRACE_FIELDS)
     trace = RunTrace(
         steps=[_step_record(path, r) for r in doc["steps"]],
         total_evals=doc["total_evals"],
@@ -242,14 +243,14 @@ def load_trace(directory) -> RunTrace:
     )
     sidecar_path = directory / "tensors.json"
     if sidecar_path.exists():
-        sidecar = _read_json(sidecar_path)
+        sidecar = read_json(sidecar_path)
         if not isinstance(sidecar, list):
             raise ParseError(f"{sidecar_path}: expected a JSON array")
         deltas: dict[tuple[int, int], Matrix] = {}
         outputs: dict[int, Matrix] = {}
         for entry in sidecar:
             kind = entry.get("kind") if type(entry) is dict else None
-            entry = _checked(sidecar_path, entry, _DELTA_FIELDS if kind == "delta" else _TENSOR_FIELDS)
+            entry = checked(sidecar_path, entry, _DELTA_FIELDS if kind == "delta" else _TENSOR_FIELDS)
             name, shape, step = entry["file"], entry["shape"], entry["step"]
             if "/" in name or os.sep in name:
                 raise ParseError(f"{sidecar_path}: tensor file {name!r} is not a plain file name")
@@ -274,48 +275,16 @@ def load_trace(directory) -> RunTrace:
     return trace
 
 
-# the fields load_trace reads, with their JSON types (exact: bool is not a
-# number here), and the item types of the list fields
-_NUMBER = (int, float)
-_TRACE_FIELDS = {"steps": (list,), "total_evals": (int,), "wall_time_s": _NUMBER, "config": (dict,),
-                 "heavy": (bool,)}
-_STEP_FIELDS = {"step": (int,), "timestep": (int,), "phase": (str,), "flags": (list,),
-                "scores": (list, type(None)), "delta_l1": (list,), "delta_l2": (list,),
-                "evals": (int,), "eval_total": (int,), "degenerate_predictions": (int,)}
-_TENSOR_FIELDS = {"file": (str,), "shape": (list,), "kind": (str,), "step": (int,)}
-_DELTA_FIELDS = {**_TENSOR_FIELDS, "block": (int,)}
-_LIST_ITEMS = {"flags": (int,), "scores": _NUMBER, "delta_l1": _NUMBER, "delta_l2": _NUMBER,
-               "shape": (int,)}
-
-
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _checked(path: Path, doc, fields: dict) -> dict:
-    """``doc``, which must be a JSON object with every key of ``fields``, each
-    value of its type; otherwise ParseError naming ``path``."""
-    if type(doc) is not dict:
-        raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    for key, types in fields.items():
-        if key not in doc:
-            raise ParseError(f"{path}: missing field {key!r}")
-        value = doc[key]
-        if type(value) not in types or (
-            type(value) is list and key in _LIST_ITEMS
-            and not all(type(v) in _LIST_ITEMS[key] for v in value)
-        ):
-            raise ParseError(f"{path}: field {key!r} has the wrong type")
-    return doc
+_TRACE_FIELDS = schema({"steps": list, "total_evals": int, "wall_time_s": float, "config": dict, "heavy": bool})
+_STEP_FIELDS = schema(typing.get_type_hints(StepRecord))
+_TENSOR_FIELDS = schema({"file": str, "shape": list[int], "kind": str, "step": int})
+_DELTA_FIELDS = {**_TENSOR_FIELDS, **schema({"block": int})}
 
 
 def _step_record(path: Path, r) -> StepRecord:
     if type(r) is dict:
         r.setdefault("degenerate_predictions", 0)  # StepRecord's default
-    r = _checked(path, r, _STEP_FIELDS)
+    r = checked(path, r, _STEP_FIELDS)
     return StepRecord(**{key: r[key] for key in _STEP_FIELDS})
 
 

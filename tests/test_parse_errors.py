@@ -44,6 +44,7 @@ BAD_POLICIES = {
     "empty": "",
     "not_utf8": b"\xff\xfe\x00{",
     "list": "[1, 2, 3]",
+    "nested_too_deep": "[" * 100_000 + "]" * 100_000,
     "no_coefficients": _policy_doc(coefficients=None),
     "no_degree": _policy_doc(degree=None),
     "no_beta": _policy_doc(beta=None),
@@ -58,6 +59,13 @@ BAD_POLICIES = {
     "coefficient_nan": _policy_doc(coefficients=[0.1, float("nan"), 0.0, 0.3]),
     "coefficient_infinite": _policy_doc(coefficients=[0.1, 0.2, float("-inf"), 0.3]),
     "range_infinite": _policy_doc(t_max=float("inf")),
+    "degree_float": _policy_doc(degree=3.7),
+    "degree_string": _policy_doc(degree="3"),
+    "coefficients_string": _policy_doc(coefficients="1234"),
+    "beta_bool": _policy_doc(beta=True),
+    "t_min_string": _policy_doc(t_min="10"),
+    "coefficient_past_float_range": _policy_doc(coefficients=[10**400, 0, 0, 0]),
+    "t_max_past_int_digit_limit": _policy_doc(t_max=None)[:-1] + ', "t_max": ' + "9" * 5000 + "}",
 }
 
 # config documents whose one key holds a value of the wrong JSON type
@@ -104,7 +112,14 @@ BAD_BLOBS = {
     "header_not_json": _blob_bytes(b"{shape: [4, 4]}"),
     "header_length_past_end": blob.MAGIC + struct.pack("<I", 1 << 20) + b"{}",
     "bad_magic": b"NOT-A-LATENT-FILE-AT-ALL",
+    "shape_float": _blob_bytes({"shape": [4.9, 4], "dtype": "f32le"}),
+    "shape_bool": _blob_bytes({"shape": [True, 16], "dtype": "f32le"}),
+    "shape_strings": _blob_bytes({"shape": ["4", "4"], "dtype": "f32le"}),
+    "shape_string": _blob_bytes({"shape": "44", "dtype": "f32le"}),
 }
+
+# what the error names beyond the file, where a case has a message of its own
+BLOB_MESSAGES = {"header_length_past_end": "header length 1048576 runs past the end"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_POLICIES))
@@ -117,7 +132,7 @@ def test_load_policy_raises_parse_error(tmp_path, case):
 @pytest.mark.parametrize("case", sorted(BAD_BLOBS))
 def test_read_latent_raises_parse_error(tmp_path, case):
     path = _write(tmp_path / "latent.bin", BAD_BLOBS[case])
-    with pytest.raises(ParseError, match="latent.bin"):
+    with pytest.raises(ParseError, match="latent.bin.*" + BLOB_MESSAGES.get(case, "")):
         blob.read_latent(path)
 
 

@@ -177,6 +177,15 @@ class TestPolicySerialization:
         loaded = load_policy(path)
         assert loaded == policy
 
+    def test_integer_numbers_load_as_floats_and_round_trip(self, tmp_path):
+        path = tmp_path / "ratio_policy.json"
+        path.write_text('{"degree": 3, "coefficients": [1, 0, 2, 0], "beta": 1, "t_min": 0, "t_max": 900}')
+        policy = load_policy(path)
+        assert policy == RatioPolicy(poly=Polynomial(3, (1.0, 0.0, 2.0, 0.0)), beta=1.0, t_min=0.0, t_max=900.0)
+        assert all(type(v) is float for v in (*policy.poly.coefficients, policy.beta, policy.t_min, policy.t_max))
+        save_policy(policy, tmp_path / "again.json")
+        assert load_policy(tmp_path / "again.json") == policy
+
     def test_write_failing_part_way_keeps_old_file(self, tmp_path, monkeypatch, write_failing_part_way):
         path = tmp_path / "ratio_policy.json"
         policy = RatioPolicy(poly=Polynomial(3, (0.2, 0.1, 0.0, 0.3)), beta=1.0, t_min=0, t_max=50)
