@@ -11,14 +11,13 @@ reader sees the old file or the whole new one, never a torn write.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, checked, read_json, schema
+from .errors import ParseError, checked, f32_nbytes, read_json, schema
 
 MAGIC = b"SORTBLOCK-LATENT"
 
@@ -89,9 +88,7 @@ def read_latent(path) -> tuple[np.ndarray, dict]:
     if header["dtype"] != "f32le":
         raise ParseError(f"{path}: unsupported dtype {header['dtype']!r}")
     shape = tuple(header["shape"])
-    if any(v < 0 for v in shape):
-        raise ParseError(f"{path}: negative dimension in shape {list(shape)}")
-    expected = math.prod(shape) * 4
+    expected = f32_nbytes(path, shape)
     payload = raw[offset:]
     if len(payload) != expected:
         raise ParseError(f"{path}: payload is {len(payload)} bytes, expected {expected}")

@@ -75,7 +75,6 @@ class ExperimentConfig:
     # io
     heavy_trace: bool = False
     out_dir: str = "out"
-    metrics: list[str] = field(default_factory=lambda: list(KNOWN_METRICS))
 
     def validate(self) -> None:
         if self.mode not in ("baseline", "sortblock"):
@@ -84,9 +83,6 @@ class ExperimentConfig:
             raise ConfigError("adaptive ratio mode needs --policy-file")
         if self.beta is not None and not (0.0 <= self.beta <= 1.0):
             raise ConfigError("beta must lie in [0, 1]")
-        unknown = [m for m in self.metrics if m not in KNOWN_METRICS]
-        if unknown:
-            raise ConfigError(f"unknown metrics {unknown}; choose from {KNOWN_METRICS}")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         # constructor side effects double as validation
@@ -505,10 +501,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window-low", dest="window_low", type=int)
     parser.add_argument("--policy-file", dest="policy_file")
     parser.add_argument("--heavy-trace", dest="heavy_trace", action="store_true", default=None)
-    parser.add_argument(
-        "--metrics", type=lambda s: [v for v in s.split(",") if v],
-        help=f"metric subset, comma-separated (default {','.join(KNOWN_METRICS)})",
-    )
 
 
 def make_parser() -> _Parser:
@@ -529,7 +521,8 @@ def make_parser() -> _Parser:
     p_cmp = sub.add_parser("compare", help="metric report for two latent blobs")
     p_cmp.add_argument("--a", required=True)
     p_cmp.add_argument("--b", required=True)
-    p_cmp.add_argument("--metrics", type=lambda s: [v for v in s.split(",") if v])
+    p_cmp.add_argument("--metrics", type=lambda s: [v for v in s.split(",") if v],
+                       help=f"metric subset, comma-separated (default {','.join(KNOWN_METRICS)})")
     p_cmp.add_argument("--out", help="also write the JSON report here")
 
     p_sweep = sub.add_parser("sweep", help="ablation sweep over K, beta, or window")

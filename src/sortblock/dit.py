@@ -8,6 +8,8 @@ run produces is a pure function of (config seed, input, timestep).
 Hook protocol
 -------------
 ``forward(z, t, hook)`` calls ``hook(block_index, x, compute)`` once per block.
+Block i's ``x`` is the very array the hook returned for block i - 1 (``z``
+for block 0); the caching engine relies on it.
 ``compute(out=None)`` is a thunk that actually evaluates the block (and
 increments the network's eval counter), returning its output; the hook either
 invokes it or serves a replacement output of the same shape without paying

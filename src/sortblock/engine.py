@@ -23,11 +23,6 @@ refuses one that does not), so it enters the window once and leaves it once:
 every ranked step directly follows a full step, and no anchor comes between
 a ranked step and its follow steps.
 
-Every served block's residual delta, its served output minus its input, is
-formed in one place, whether the block was computed or predicted: it gives
-the step's ``delta_l1`` and ``delta_l2``, a full step's reference deltas and
-the heavy trace's deltas.
-
 Every step that refreshes the cache computes every block, so the cache is one
 state shared by all blocks: the outputs of the last two compute-everything
 (full or outside) steps, the anchors, and the interval between them.  A
@@ -40,6 +35,15 @@ anchor supersedes them before any prediction would read them, and a slope
 over single-step gaps would differentiate step-to-step noise and resonate
 through the sampler feedback loop (extrapolation amplifies a 1-step slope by
 up to K-1).
+
+A step is served from one (N, tokens, channels) stack: an anchor step
+computes every block into the older anchor's stack, a ranked or follow step
+serves its predictions, and a recomputed block writes over its own.  Each
+block returns its row, which must be the next block's input, so after the
+last block ``stack - [z, stack[:-1]]`` is every served delta (the ranking
+sweep scores the predicted deltas so too).  The heavy capture, a full step's
+reference deltas, the step's ``delta_l1`` and ``delta_l2``, its record and
+the anchor are then each done once.
 
 An engine without a config is the full-compute baseline of
 ``record_baseline``: every step is "full", no cache is kept, and heavy mode
@@ -256,23 +260,25 @@ class SortblockEngine:
         # the cache: the last two anchors (compute-everything steps)
         self.anchor_step: Optional[int] = None
         self.interval = 0  # steps between the two anchors; 0 until both exist
-        # (N, tokens, channels) float32 stacks, allocated at the first eval
+        # (N, tokens, channels) float32 stacks, allocated at the first eval; a
+        # config-less engine has only ``values``
         self.values: Optional[np.ndarray] = None  # outputs at the anchor step
         self.prev_values: Optional[np.ndarray] = None  # outputs at the anchor before it
         self.slopes: Optional[np.ndarray] = None  # (values - prev_values) / interval
-        self.preds: Optional[np.ndarray] = None  # this step's linear predictions
-        self.ref_deltas: Optional[np.ndarray] = None  # the last full step's deltas, from the first on
+        self.preds: Optional[np.ndarray] = None  # this step's predictions, then its recomputes
+        self.ref_deltas: Optional[np.ndarray] = None  # the deltas of the last full step
         self._ref_norms: Optional[list[float]] = None  # their L2 norms: that step's delta_l2
+        self._deltas: Optional[np.ndarray] = None  # a step's deltas, written by ``_deltas_of``
         # float64 work rows: a predicted delta and its reference in the ranking
         # sweep; row 0 also widens each served delta for the step's statistics
         self._work64: Optional[np.ndarray] = None
-        self._serve_from: Optional[np.ndarray] = None  # the stack this step's predictions come from
-        self._served: Optional[np.ndarray] = None  # this step's served deltas, one row per block
-        self._deltas: Optional[np.ndarray] = None  # the same, (N, tokens, channels)
-        # the output rows of blocks computed off an anchor step, alternating, so
-        # that no block writes over its own input
-        self._rows: Optional[np.ndarray] = None
+        self._anchor_flags = [1] * num_blocks
         self._record: Optional[StepRecord] = None  # this step's step, timestep and phase
+        # set at block 0: the step's stack, its flags, and its chain: the input,
+        # then the stack's rows, so block i's input is entry i and its row i + 1
+        self._stack: Optional[np.ndarray] = None
+        self._flags: Sequence[int] = ()
+        self._chain: Optional[list[np.ndarray]] = None
 
     def begin_step(self, step_index: int, t: int) -> None:
         t = int(t)
@@ -284,97 +290,93 @@ class SortblockEngine:
             label = "full"
         else:
             label, self.phase = step_phase(t, self.cfg.window, self.cfg.refresh_interval, self.phase)
-        self._record = StepRecord(
-            step=step_index,
-            timestep=t,
-            phase=label,
-            flags=[],
-            scores=None,
-            delta_l1=[],
-            delta_l2=[],
-            evals=0,
-            eval_total=0,
-        )
+        self._record = StepRecord(step=step_index, timestep=t, phase=label)
         self.trace.steps.append(self._record)
-        if self.heavy:
-            self.trace.deltas.append([])
+        self._chain = None
 
     def __call__(self, index: int, x: Matrix, compute: Callable) -> Matrix:
-        rec = self._record
-        if rec is None:
-            raise SortblockError("engine hook called before begin_step")
-        if self._served is None:
-            self._allocate(x)
-        label = rec.phase
-        anchor = label == "full" or label == "outside"
         if index == 0:
-            if not anchor:
-                self._predict_step(x)
-            elif self.values is not None:
-                self.values, self.prev_values = self.prev_values, self.values
-                if label == "full" and self.ref_deltas is None:
-                    self.ref_deltas = np.empty_like(self.values)
-
-        if anchor or self.policy.flags[index]:
-            # the block writes its output straight into the engine's rows: the
-            # anchor stack on a caching anchor step, a ping-pong row otherwise
-            served = self.values[index] if anchor and self.values is not None else self._rows[index % 2]
-            compute(served)
-            rec.evals += 1
-            rec.flags.append(1)
-        else:
-            rec.flags.append(0)
-            served = self._serve_from[index]
-        delta = np.subtract(served, x, out=self._deltas[index])
-        if self.heavy:
-            self.trace.deltas[-1].append(delta.copy())
-        if label == "full" and self.ref_deltas is not None:
-            self.ref_deltas[index] = delta
-
+            self._begin_serving(x)
+        elif self._chain is None or x is not self._chain[index]:
+            raise SortblockError(f"block {index}'s input is not the array served for block {index - 1}")
+        row = self._chain[index + 1]
+        if self._flags[index]:
+            compute(row)  # the block writes its output over the row
         if index == self.num_blocks - 1:
-            rec.delta_l1, rec.delta_l2 = served_delta_stats(self._served, self._work64[0])
-            if label == "full":
-                self._ref_norms = rec.delta_l2
-            self.trace.total_evals += rec.evals
-            rec.eval_total = self.trace.total_evals
-            if self.store_outputs:
-                self.trace.outputs.append(served.copy())
-            if anchor:
-                self.interval = 0 if self.anchor_step is None else rec.step - self.anchor_step
-                self.anchor_step = rec.step
-        return served
+            self._end_step()
+        return row
 
-    def _allocate(self, x: Matrix) -> None:
-        # no array larger than one (N, tokens*channels) float32 stack: glibc
-        # raises its mmap and trim thresholds to the largest block freed, which
-        # moves the cost of every later mid-sized allocation in the process
-        n = self.num_blocks
-        self._served = np.empty((n, x.size), dtype=np.float32)
-        self._deltas = self._served.reshape((n, *x.shape))
-        self._rows = np.empty((2, *x.shape), dtype=np.float32)
-        self._work64 = np.empty((2, x.size), dtype=np.float64)
-        if self.cfg is not None:
-            self.values, self.prev_values, self.slopes, self.preds = (
-                np.empty((n, *x.shape), dtype=np.float32) for _ in range(4)
-            )
+    def _begin_serving(self, z: Matrix) -> None:
+        """Block 0: the step's stack, flags and chain (see the module docstring)."""
+        if self._record is None:
+            raise SortblockError("engine hook called before begin_step")
+        if self._deltas is None:
+            # no array larger than one (N, tokens*channels) float32 stack: glibc
+            # raises its mmap and trim thresholds to the largest block freed,
+            # which moves the cost of every later mid-sized allocation
+            self._deltas = np.empty((self.num_blocks, *z.shape), dtype=np.float32)
+            self._work64 = np.empty((2, z.size), dtype=np.float64)
+            self.values = np.empty_like(self._deltas)
+            if self.cfg is not None:
+                self.prev_values, self.slopes, self.preds, self.ref_deltas = (
+                    np.empty_like(self._deltas) for _ in range(4)
+                )
+        if self._record.phase in ("full", "outside"):
+            if self.cfg is not None:
+                self.values, self.prev_values = self.prev_values, self.values
+            self._stack, self._flags = self.values, self._anchor_flags
+        else:
+            self._predict_step(z)
+            self._stack, self._flags = self.preds, self.policy.flags
+        self._chain = [z, *self._stack]
+
+    def _end_step(self) -> None:
+        """After the last block, once each: the step's deltas, their captures
+        and statistics, its record and the anchor."""
+        rec = self._record
+        served = self._deltas_of(self._stack, self._chain[0])
+        if self.heavy:
+            self.trace.deltas.append([d.copy() for d in self._deltas])
+        if self.store_outputs:
+            self.trace.outputs.append(self._stack[-1].copy())
+        full = rec.phase == "full" and self.cfg is not None
+        if full:
+            np.copyto(self.ref_deltas, self._deltas)
+        # after the copies: the statistics take the deltas' abs in place
+        rec.delta_l1, rec.delta_l2 = served_delta_stats(served, self._work64[0])
+        if full:
+            self._ref_norms = rec.delta_l2
+        rec.flags = list(self._flags)
+        rec.evals = sum(rec.flags)
+        self.trace.total_evals += rec.evals
+        rec.eval_total = self.trace.total_evals
+        if self._flags is self._anchor_flags:
+            self.interval = 0 if self.anchor_step is None else rec.step - self.anchor_step
+            self.anchor_step = rec.step
+
+    def _deltas_of(self, stack: np.ndarray, z: Matrix) -> np.ndarray:
+        """Each block's output minus its input, ``stack - [z, stack[:-1]]``,
+        into ``_deltas``, returned as (N, tokens*channels) rows: a step's
+        served deltas, or the ranking sweep's predicted ones."""
+        np.subtract(stack[0], z, out=self._deltas[0])
+        np.subtract(stack[1:], stack[:-1], out=self._deltas[1:])
+        return self._deltas.reshape(self.num_blocks, -1)
 
     def _predict_step(self, z: Matrix) -> None:
-        """Predict every block for this ranked or follow step; on a ranked
-        step, then build the interval's policy."""
+        """Predict every block into ``preds`` for this ranked or follow step;
+        on a ranked step, then build the interval's policy."""
         rec = self._record
         ranked = rec.phase == "ranked"
         if not ranked and self.policy is None:
             raise SortblockError("follow step before any ranked step")
         if self.anchor_step is None:
             raise SortblockError("prediction requested before the first full compute")
-        if self.cfg.predict_mode == "copy":
-            # served as cached: value + slope * 0 would turn -0.0 into +0.0
-            # and an inf slope into NaN
-            self._serve_from = self.values
-        elif self.interval == 0:  # a single anchor: degenerate copies
-            self._serve_from = self.values
-            predicted = self.num_blocks if ranked else self.num_blocks - sum(self.policy.flags)
-            rec.degenerate_predictions += predicted
+        if self.cfg.predict_mode == "copy" or self.interval == 0:
+            # copies of the cached values: value + slope * 0 would turn -0.0
+            # into +0.0 and an inf slope into NaN
+            np.copyto(self.preds, self.values)
+            if self.cfg.predict_mode == "linear":  # a single anchor: degenerate copies
+                rec.degenerate_predictions += self.num_blocks - (0 if ranked else sum(self.policy.flags))
         else:
             # linear_predict's operations on the stacks, so the same bits.  The
             # slope is the anchor interval's: a ranked step directly follows a
@@ -384,7 +386,6 @@ class SortblockEngine:
                 np.divide(self.slopes, np.float32(self.interval), out=self.slopes)
             np.multiply(self.slopes, np.float32(rec.step - self.anchor_step), out=self.preds)
             np.add(self.values, self.preds, out=self.preds)
-            self._serve_from = self.preds
         if ranked:
             self._select(z)
 
@@ -410,20 +411,15 @@ class SortblockEngine:
                 raise ConfigError("policy override flag count != num_blocks")
             self.policy = PolicySequence(flags=flags, scores=None)
             return
-        if self.ref_deltas is None:
+        if self._ref_norms is None:
             raise SortblockError("ranked step before any full step")
-        # the float32 deltas P - [z, P[:-1]], written to the served stack
-        # (rewritten row by row as the step is served), each widened with its
-        # reference for the float64 score; the reference's norm is its
-        # delta_l2, the same sqrt of the same dot
-        preds = self._serve_from
-        deltas = self._deltas
-        np.subtract(preds[0], z, out=deltas[0])
-        np.subtract(preds[1:], preds[:-1], out=deltas[1:])
+        # the float32 predicted deltas (the delta stack is rewritten at the
+        # step's end), each widened with its reference for the float64 score;
+        # the reference's norm is its delta_l2, the same sqrt of the same dot
         pred64, ref64 = self._work64
-        refs = self.ref_deltas.reshape(self._served.shape)
+        refs = self.ref_deltas.reshape(self.num_blocks, -1)
         scores = []
-        for delta, ref, ref_norm in zip(self._served, refs, self._ref_norms):
+        for delta, ref, ref_norm in zip(self._deltas_of(self.preds, z), refs, self._ref_norms):
             pred64[...] = delta
             ref64[...] = ref
             scores.append(_cosine(float(pred64 @ ref64), math.sqrt(pred64.dot(pred64)), ref_norm))

@@ -6,10 +6,13 @@ configs, ``trace.json`` and ``tensors.json``) goes through ``read_json`` and
 to is one that T allows.  A bool is not a number, an int is a float, null
 fits only an ``Optional`` field, and a ``list[T]`` holds only T.  Nothing is
 coerced: ``"3"``, ``3.7`` and ``true`` are not the int 3.  A file that breaks
-the rule raises ``ParseError`` naming it.
+the rule raises ``ParseError`` naming it, as does a tensor shape that
+``f32_nbytes`` refuses.
 """
 
 import json
+import math
+import sys
 import typing
 from pathlib import Path
 
@@ -91,3 +94,14 @@ def checked(path, doc, fields: dict) -> dict:
         ):
             raise ParseError(f"{path}: field {key!r} has the wrong type")
     return doc
+
+
+def f32_nbytes(path, shape) -> int:
+    """The bytes of a float32 array of ``shape``, a shape read from ``path``;
+    ParseError naming it for a negative dimension or a shape past numpy's
+    size limit, which binds the nonzero dimensions of an empty array too."""
+    if min(shape, default=0) < 0:
+        raise ParseError(f"{path}: negative dimension in shape {list(shape)}")
+    if 4 * math.prod(filter(None, shape)) > sys.maxsize:  # numpy's intp
+        raise ParseError(f"{path}: shape {list(shape)} is too large for an array")
+    return 4 * math.prod(shape)

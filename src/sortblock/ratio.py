@@ -42,9 +42,6 @@ class RatioPolicy:
         if not (math.isfinite(self.t_min) and math.isfinite(self.t_max) and self.t_max > self.t_min):
             raise ConfigError("normalization range must be finite and satisfy t_max > t_min")
 
-    def evaluate(self, t: float) -> float:
-        return evaluate_ratio(self, t)
-
 
 def measure_l1_curve(trace: RunTrace) -> tuple[list[float], list[float]]:
     """Mean absolute difference between consecutive-step model outputs.

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .diffusion import NoiseSchedule, SamplerRun, sample
-from .errors import ConfigError, MissingDataError, ParseError, ResourceError, checked, read_json, schema
+from .errors import ConfigError, MissingDataError, ParseError, ResourceError, checked, f32_nbytes, read_json, schema
 from .metrics import kendall_tau
 from .numerics import Matrix
 
@@ -42,15 +42,18 @@ HEAVY_TRACE_BYTE_BUDGET = 512 * 2**20
 
 @dataclass
 class StepRecord:
+    """One step; the engine creates it with the step, timestep and phase and
+    fills in the rest once the step's last block is served."""
+
     step: int
     timestep: int
     phase: str  # full | ranked | follow | outside
-    flags: list[int]  # 1 = block was recomputed this step
-    scores: Optional[list[float]]  # similarity scores; ranked steps only
-    delta_l1: list[float]  # mean |output - input| per block (served values)
-    delta_l2: list[float]  # Frobenius norm of the served delta per block
-    evals: int  # block evaluations paid this step
-    eval_total: int  # running total after this step
+    flags: list[int] = field(default_factory=list)  # 1 = block was recomputed this step
+    scores: Optional[list[float]] = None  # similarity scores; ranked steps only
+    delta_l1: list[float] = field(default_factory=list)  # mean |output - input| per block (served values)
+    delta_l2: list[float] = field(default_factory=list)  # Frobenius norm of the served delta per block
+    evals: int = 0  # block evaluations paid this step
+    eval_total: int = 0  # running total after this step
     degenerate_predictions: int = 0  # predictions served as copies (single-compute cache)
 
 
@@ -256,9 +259,7 @@ def load_trace(directory) -> RunTrace:
                 raise ParseError(f"{sidecar_path}: tensor file {name!r} is not a plain file name")
             if kind not in ("delta", "output"):
                 raise ParseError(f"{sidecar_path}: unknown tensor kind {kind!r}")
-            if min(shape, default=0) < 0:
-                raise ParseError(f"{sidecar_path}: negative dimension in shape {shape}")
-            arr = _read_tensor(os.path.join(directory, name), shape)
+            arr = _read_tensor(os.path.join(directory, name), shape, f32_nbytes(sidecar_path, shape))
             if kind == "delta":
                 deltas[(step, entry["block"])] = arr
             else:
@@ -288,10 +289,9 @@ def _step_record(path: Path, r) -> StepRecord:
     return StepRecord(**{key: r[key] for key in _STEP_FIELDS})
 
 
-def _read_tensor(path: str, shape) -> Matrix:
-    """One raw little-endian float32 tensor file of a heavy trace; a missing,
-    unreadable or wrongly sized file raises ParseError naming it."""
-    nbytes = 4 * math.prod(shape)
+def _read_tensor(path: str, shape, nbytes: int) -> Matrix:
+    """One raw little-endian float32 tensor file of ``nbytes`` bytes; a
+    missing, unreadable or wrongly sized file raises ParseError naming it."""
     try:
         fd = os.open(path, os.O_RDONLY)
         try:

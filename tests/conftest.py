@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sortblock import (
     DitConfig,
@@ -15,6 +16,12 @@ from sortblock import (
     make_schedule,
     record_baseline,
 )
+
+# HYPOTHESIS_PROFILE=ci (the CI workflow) draws the same examples on every
+# run and prints a failing example's reproduction blob; local runs keep the
+# default profile
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def block_output(value, out=None):

@@ -314,6 +314,17 @@ class TestConfigMerging:
         rc = _run_main(["run", "--config", cfg_file, "--out-dir", tmp_path])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "K", "--values", "3"]])
+    def test_metrics_is_not_a_run_option(self, tmp_path, capsys, command):
+        """Only ``compare`` takes a metric subset: in a config file ``metrics``
+        is an unknown key, and ``--metrics`` an unknown flag."""
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"metrics": ["psnr"]}))
+        assert _run_main([*command, "--config", cfg_file, "--out-dir", tmp_path]) == 1
+        assert "unknown config keys ['metrics']" in capsys.readouterr().err
+        assert _run_main([*command, "--metrics", "psnr", "--out-dir", tmp_path]) == 1
+        assert "unrecognized arguments: --metrics psnr" in capsys.readouterr().err
+
     def test_unknown_flag_exit_code(self):
         assert _run_main(["run", "--no-such-flag"]) == 1
 

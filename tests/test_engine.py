@@ -14,6 +14,7 @@ from conftest import block_output
 from sortblock import (
     BlockCacheEntry,
     ConfigError,
+    DitConfig,
     Rng,
     SamplerRun,
     ShapeError,
@@ -22,8 +23,11 @@ from sortblock import (
     SortblockError,
     cosine_similarity,
     expected_eval_count,
+    init_network,
     inner_window,
     linear_predict,
+    make_run,
+    make_schedule,
     recompute_quota,
     run_sortblock,
     sample,
@@ -603,3 +607,89 @@ class TestAffineExactness:
                 assert latent.tobytes() == baseline.tobytes(), f"K={K} rho={rho}"
                 if rho < 1.0:
                     assert trace.total_evals < len(step_list) * net.num_blocks
+
+
+SMALL_NET = init_network(DitConfig(num_blocks=4, num_tokens=8, channels=16))
+SMALL_SCHED = make_schedule(1000)
+
+
+class PassThrough:
+    """A hook around an engine that passes its rows through, recording each
+    block's input and a copy of the row it returns."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.steps = []
+
+    def begin_step(self, step_index, t):
+        self.engine.begin_step(step_index, t)
+        self.steps.append([])
+
+    def __call__(self, index, x, compute):
+        x_then = x.copy()
+        row = self.engine(index, x, compute)
+        self.steps[-1].append((x_then, row.copy()))
+        return row
+
+
+@st.composite
+def _runs_and_configs(draw):
+    """A run of 2-20 steps on the small network and a config whose window
+    runs from one of its steps (often the first: a single anchor serves the
+    first interval) to a later one."""
+    n = draw(st.integers(2, 20))
+    run = make_run(SMALL_SCHED, n, draw(st.integers(0, 2**16)), (8, 16))
+    first = draw(st.one_of(st.just(0), st.integers(0, n - 2)))
+    last = draw(st.integers(first + 1, n - 1))
+    cfg = SortblockConfig(
+        refresh_interval=draw(st.integers(2, 9)),
+        rho=draw(st.floats(0.0, 1.0)),
+        window=(run.step_list[first], run.step_list[last]),
+        predict_mode=draw(st.sampled_from(["linear", "copy"])),
+    )
+    return run, cfg
+
+
+class TestStepStack:
+    @settings(max_examples=60, deadline=None)
+    @given(_runs_and_configs())
+    def test_step_statistics_are_those_of_each_served_block(self, run_cfg):
+        """Each step's ``delta_l1`` and ``delta_l2``, formed from the step's
+        stack at its end, are per block the reference formulas on what the
+        engine served for the block minus the block's input."""
+        run, cfg = run_cfg
+        hook = PassThrough(SortblockEngine(cfg, SMALL_NET.num_blocks))
+        sample(SMALL_NET, run, SMALL_SCHED, hooks=hook)
+        assert len(hook.steps) == len(hook.engine.trace.steps) == len(run.step_list)
+        for rec, blocks in zip(hook.engine.trace.steps, hook.steps):
+            deltas = [served - x for x, served in blocks]
+            assert _bits(rec.delta_l1) == _bits([float(np.mean(np.abs(d))) for d in deltas])
+            assert _bits(rec.delta_l2) == _bits([float(np.linalg.norm(d.astype(np.float64))) for d in deltas])
+
+    @pytest.mark.parametrize("cfg", [None, SortblockConfig(window=(900, 100))], ids=["baseline", "outside"])
+    def test_hook_handing_on_a_copy_raises(self, cfg):
+        """Block i's input must be the row the engine served for block i - 1:
+        the deltas are formed from the engine's stack."""
+        engine = SortblockEngine(cfg, SMALL_NET.num_blocks)
+
+        def copying(index, x, compute):
+            return engine(index, x, compute).copy()
+
+        engine.begin_step(0, 950)
+        with pytest.raises(SortblockError, match="block 1's input is not the array served for block 0"):
+            SMALL_NET.forward(standard_normal(Rng(3), 8, 16), 950, copying)
+
+    def test_heavy_captures_do_not_alias_the_engine(self):
+        """The heavy trace's deltas and outputs are copies: a later step that
+        rewrites the engine's stacks leaves them as they were."""
+        engine = SortblockEngine(None, SMALL_NET.num_blocks, heavy=True, store_outputs=True)
+        engine.begin_step(0, 500)
+        SMALL_NET.forward(standard_normal(Rng(1), 8, 16), 500, engine)
+        first = [a.tobytes() for a in [*engine.trace.deltas[0], engine.trace.outputs[0]]]
+        engine.begin_step(1, 400)
+        SMALL_NET.forward(standard_normal(Rng(2), 8, 16), 400, engine)
+        kept = [*engine.trace.deltas[0], engine.trace.outputs[0]]
+        assert [a.tobytes() for a in kept] == first
+        assert [a.tobytes() for a in [*engine.trace.deltas[1], engine.trace.outputs[1]]] != first
+        stacks = [v for v in vars(engine).values() if isinstance(v, np.ndarray)]
+        assert not any(np.shares_memory(a, s) for a in kept for s in stacks)

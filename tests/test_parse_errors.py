@@ -81,7 +81,7 @@ BAD_CONFIGS = {
     "list_as_int": {"seeds": 3},
     "list_item_as_string": {"seeds": [0, "1"]},
     "list_item_as_bool": {"seeds": [0, True]},
-    "list_as_string": {"metrics": "psnr"},
+    "list_as_string": {"seeds": "0,1"},
     "optional_int_as_float": {"window_high": 900.5},
     "optional_float_as_string": {"beta": "0.5"},
 }
@@ -116,6 +116,9 @@ BAD_BLOBS = {
     "shape_bool": _blob_bytes({"shape": [True, 16], "dtype": "f32le"}),
     "shape_strings": _blob_bytes({"shape": ["4", "4"], "dtype": "f32le"}),
     "shape_string": _blob_bytes({"shape": "44", "dtype": "f32le"}),
+    # empty, so the byte count matches, but past numpy's dimension or size limit
+    "shape_dimension_past_int64": _blob_bytes({"shape": [0, 2**70], "dtype": "f32le"}, b""),
+    "shape_size_past_int64": _blob_bytes({"shape": [0, 2**62, 2**62], "dtype": "f32le"}, b""),
 }
 
 # what the error names beyond the file, where a case has a message of its own
@@ -263,6 +266,8 @@ BAD_TENSORS_JSON = {
     "no_shape": _entry0(lambda entry: entry.pop("shape")),
     "shape_string": _entry0(lambda entry: entry.update(shape="64x64")),
     "shape_negative": _entry0(lambda entry: entry.update(shape=[-64, -64])),
+    "shape_dimension_past_int64": _entry0(lambda entry: entry.update(shape=[0, 2**70])),
+    "shape_size_past_int64": _entry0(lambda entry: entry.update(shape=[0, 2**62, 2**62])),
     "no_step": _entry0(lambda entry: entry.pop("step")),
     "block_null": _entry0(lambda entry: entry.update(block=None)),
     "unknown_kind": _entry0(lambda entry: entry.update(kind="noise")),
