@@ -7,7 +7,7 @@ timestep window, steps cycle through phases modulo the refresh interval K
 before the first prediction):
 
 * phase 0 (mod K) -- "full": every block is computed; the step's residual
-  deltas are stored as the references for the next ranking.
+  deltas are the references for the next ranking.
 * phase 1 (mod K) -- "ranked": the predicted deltas (each block's prediction
   minus the prediction before it, block 0's minus the step's input) are
   scored by cosine similarity against the reference deltas; the ceil(rho*N)
@@ -28,22 +28,23 @@ state shared by all blocks: the outputs of the last two compute-everything
 (full or outside) steps, the anchors, and the interval between them.  A
 ranked or follow step predicts all N blocks at once, before block 0 is
 served, by ``linear_predict``'s extrapolation k = step - anchor steps beyond
-the newer anchor; the slope is computed once per anchor interval.  Until two
-anchors exist the predictions are copies (counted as degenerate in the
-trace).  Recomputes between anchors are served but not cached: the next
-anchor supersedes them before any prediction would read them, and a slope
-over single-step gaps would differentiate step-to-step noise and resonate
-through the sampler feedback loop (extrapolation amplifies a 1-step slope by
-up to K-1).
+the newer anchor, with slopes the ranked step writes over the older one.  A
+ranked step's references are re-formed from the newer anchor, the full step
+it follows.  Until two anchors exist the predictions are copies (counted as
+degenerate in the trace).  Recomputes between anchors are served but not
+cached: the next anchor supersedes them before any prediction would read
+them, and a slope over single-step gaps would differentiate step-to-step
+noise and resonate through the sampler feedback loop (extrapolation
+amplifies a 1-step slope by up to K-1).
 
 A step is served from one (N, tokens, channels) stack: an anchor step
 computes every block into the older anchor's stack, a ranked or follow step
 serves its predictions, and a recomputed block writes over its own.  Each
 block returns its row, which must be the next block's input, so after the
 last block ``stack - [z, stack[:-1]]`` is every served delta (the ranking
-sweep scores the predicted deltas so too).  The heavy capture, a full step's
-reference deltas, the step's ``delta_l1`` and ``delta_l2``, its record and
-the anchor are then each done once.
+sweep scores the predicted deltas so too).  The heavy capture, the step's
+``delta_l1`` and ``delta_l2``, its record and the anchor are then each done
+once.
 
 An engine without a config is the full-compute baseline of
 ``record_baseline``: every step is "full", no cache is kept, and heavy mode
@@ -261,14 +262,13 @@ class SortblockEngine:
         self.anchor_step: Optional[int] = None
         self.interval = 0  # steps between the two anchors; 0 until both exist
         # (N, tokens, channels) float32 stacks, allocated at the first eval; a
-        # config-less engine has only ``values``
+        # config-less engine has only ``values`` and ``_deltas``
         self.values: Optional[np.ndarray] = None  # outputs at the anchor step
-        self.prev_values: Optional[np.ndarray] = None  # outputs at the anchor before it
-        self.slopes: Optional[np.ndarray] = None  # (values - prev_values) / interval
+        self.prev_values: Optional[np.ndarray] = None  # the anchor before; slopes from a ranked step on
         self.preds: Optional[np.ndarray] = None  # this step's predictions, then its recomputes
-        self.ref_deltas: Optional[np.ndarray] = None  # the deltas of the last full step
-        self._ref_norms: Optional[list[float]] = None  # their L2 norms: that step's delta_l2
         self._deltas: Optional[np.ndarray] = None  # a step's deltas, written by ``_deltas_of``
+        # (tokens, channels) float32 rows: the anchor step's input and a reference delta
+        self._anchor_input = self._ref = None
         # float64 work rows: a predicted delta and its reference in the ranking
         # sweep; row 0 also widens each served delta for the step's statistics
         self._work64: Optional[np.ndarray] = None
@@ -318,12 +318,12 @@ class SortblockEngine:
             self._work64 = np.empty((2, z.size), dtype=np.float64)
             self.values = np.empty_like(self._deltas)
             if self.cfg is not None:
-                self.prev_values, self.slopes, self.preds, self.ref_deltas = (
-                    np.empty_like(self._deltas) for _ in range(4)
-                )
+                self.prev_values, self.preds = np.empty_like(self.values), np.empty_like(self.values)
+                self._anchor_input, self._ref = np.empty_like(self.values[0]), np.empty_like(self.values[0])
         if self._record.phase in ("full", "outside"):
             if self.cfg is not None:
                 self.values, self.prev_values = self.prev_values, self.values
+                np.copyto(self._anchor_input, z)  # a caller may reuse z's array
             self._stack, self._flags = self.values, self._anchor_flags
         else:
             self._predict_step(z)
@@ -339,13 +339,8 @@ class SortblockEngine:
             self.trace.deltas.append([d.copy() for d in self._deltas])
         if self.store_outputs:
             self.trace.outputs.append(self._stack[-1].copy())
-        full = rec.phase == "full" and self.cfg is not None
-        if full:
-            np.copyto(self.ref_deltas, self._deltas)
         # after the copies: the statistics take the deltas' abs in place
         rec.delta_l1, rec.delta_l2 = served_delta_stats(served, self._work64[0])
-        if full:
-            self._ref_norms = rec.delta_l2
         rec.flags = list(self._flags)
         rec.evals = sum(rec.flags)
         self.trace.total_evals += rec.evals
@@ -381,10 +376,11 @@ class SortblockEngine:
             # linear_predict's operations on the stacks, so the same bits.  The
             # slope is the anchor interval's: a ranked step directly follows a
             # full anchor, and the follow steps after it share that anchor
+            slopes = self.prev_values  # not read again before the next anchor
             if ranked:
-                np.subtract(self.values, self.prev_values, out=self.slopes)
-                np.divide(self.slopes, np.float32(self.interval), out=self.slopes)
-            np.multiply(self.slopes, np.float32(rec.step - self.anchor_step), out=self.preds)
+                np.subtract(self.values, slopes, out=slopes)
+                np.divide(slopes, np.float32(self.interval), out=slopes)
+            np.multiply(slopes, np.float32(rec.step - self.anchor_step), out=self.preds)
             np.add(self.values, self.preds, out=self.preds)
         if ranked:
             self._select(z)
@@ -411,17 +407,19 @@ class SortblockEngine:
                 raise ConfigError("policy override flag count != num_blocks")
             self.policy = PolicySequence(flags=flags, scores=None)
             return
-        if self._ref_norms is None:
+        full = self.trace.steps[-2]  # the newer anchor, if it is a full step
+        if full.phase != "full" or full.step != self.anchor_step:
             raise SortblockError("ranked step before any full step")
         # the float32 predicted deltas (the delta stack is rewritten at the
-        # step's end), each widened with its reference for the float64 score;
-        # the reference's norm is its delta_l2, the same sqrt of the same dot
+        # step's end), each widened with its reference for the float64 score:
+        # the full step's served delta, re-formed by the same subtraction, whose
+        # norm is that step's delta_l2, the same sqrt of the same dot
         pred64, ref64 = self._work64
-        refs = self.ref_deltas.reshape(self.num_blocks, -1)
         scores = []
-        for delta, ref, ref_norm in zip(self._deltas_of(self.preds, z), refs, self._ref_norms):
+        for i, (delta, ref_norm) in enumerate(zip(self._deltas_of(self.preds, z), full.delta_l2)):
+            np.subtract(self.values[i], self.values[i - 1] if i else self._anchor_input, out=self._ref)
             pred64[...] = delta
-            ref64[...] = ref
+            ref64[...] = self._ref.reshape(-1)
             scores.append(_cosine(float(pred64 @ ref64), math.sqrt(pred64.dot(pred64)), ref_norm))
         self.policy = select_blocks(scores, self.cfg.effective_rho(rec.timestep))
         rec.scores = list(self.policy.scores)

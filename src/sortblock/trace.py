@@ -232,8 +232,9 @@ def _write_tensor(path: str, arr: Matrix) -> None:
 def load_trace(directory) -> RunTrace:
     """Read a trace written by ``save_trace``.  A ``trace.json`` or
     ``tensors.json`` that is not JSON, is truncated, or lacks a field or has
-    one of the wrong type, and a missing, unreadable or wrongly sized tensor
-    file, raise ``ParseError`` naming the file."""
+    one of the wrong type, a tensor entry with a negative step or block or a
+    second entry for the same tensor, and a missing, unreadable or wrongly
+    sized tensor file, raise ``ParseError`` naming the file."""
     directory = Path(directory)
     path = directory / "trace.json"
     doc = checked(path, read_json(path), _TRACE_FIELDS)
@@ -250,7 +251,7 @@ def load_trace(directory) -> RunTrace:
         if not isinstance(sidecar, list):
             raise ParseError(f"{sidecar_path}: expected a JSON array")
         deltas: dict[tuple[int, int], Matrix] = {}
-        outputs: dict[int, Matrix] = {}
+        outputs: dict[tuple[int], Matrix] = {}
         for entry in sidecar:
             kind = entry.get("kind") if type(entry) is dict else None
             entry = checked(sidecar_path, entry, _DELTA_FIELDS if kind == "delta" else _TENSOR_FIELDS)
@@ -259,18 +260,19 @@ def load_trace(directory) -> RunTrace:
                 raise ParseError(f"{sidecar_path}: tensor file {name!r} is not a plain file name")
             if kind not in ("delta", "output"):
                 raise ParseError(f"{sidecar_path}: unknown tensor kind {kind!r}")
-            arr = _read_tensor(os.path.join(directory, name), shape, f32_nbytes(sidecar_path, shape))
-            if kind == "delta":
-                deltas[(step, entry["block"])] = arr
-            else:
-                outputs[step] = arr
+            table, key = (deltas, (step, entry["block"])) if kind == "delta" else (outputs, (step,))
+            if min(key) < 0:
+                raise ParseError(f"{sidecar_path}: {kind} tensor {name!r} has a negative step or block")
+            if key in table:
+                raise ParseError(f"{sidecar_path}: lists a second {kind} tensor for step/block {key}")
+            table[key] = _read_tensor(os.path.join(directory, name), shape, f32_nbytes(sidecar_path, shape))
         try:
             if deltas:
                 n_steps = max(s for s, _ in deltas) + 1
                 n_blocks = max(b for _, b in deltas) + 1
                 trace.deltas = [[deltas[(s, b)] for b in range(n_blocks)] for s in range(n_steps)]
             if outputs:
-                trace.outputs = [outputs[s] for s in range(max(outputs) + 1)]
+                trace.outputs = [outputs[(s,)] for s in range(max(outputs)[0] + 1)]
         except KeyError as exc:
             raise ParseError(f"{sidecar_path}: lists no tensor for step/block {exc.args[0]}") from None
     return trace

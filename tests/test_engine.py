@@ -45,16 +45,19 @@ def _vec(*values):
     return np.array([list(values)], dtype=np.float32)
 
 
-def _reference_scores(engine, z):
-    """Per block, for the engine's current step: ``cosine_similarity`` of the
-    reference delta and ``linear_predict``'s prediction from the block's view
-    of the cache minus the prediction before it (``z`` for block 0)."""
+def _reference_scores(engine, z, full_step):
+    """Per block, for the engine's current step and its cache before the
+    step's prediction: ``cosine_similarity`` of the reference delta, what the
+    full step served for the block minus the block's input there (``full_step``
+    holds both per block, as ``PassThrough`` records them), and
+    ``linear_predict``'s prediction from the block's view of the cache minus
+    the prediction before it (``z`` for block 0)."""
     k = engine.trace.steps[-1].step - engine.anchor_step
     want, x = [], z
-    for i in range(engine.num_blocks):
+    for i, (full_x, full_served) in enumerate(full_step):
         prev = engine.prev_values[i] if engine.interval else None
         p = linear_predict(BlockCacheEntry(engine.values[i], prev, engine.interval), k)
-        want.append(cosine_similarity(p - x, engine.ref_deltas[i].reshape(x.shape)))
+        want.append(cosine_similarity(p - x, full_served - full_x))
         x = p
     return want
 
@@ -240,18 +243,21 @@ class TestLifecyclePhases:
         makes, minus the prediction before it, and the reference."""
         run = default_run_factory(seed)
         cfg = SortblockConfig(refresh_interval=K, rho=rho, window=inner_window(run.step_list, 0.8))
+        hook = PassThrough(SortblockEngine(cfg, default_net.num_blocks))
         predict_step = SortblockEngine._predict_step
         checked = []
 
         def predict_and_check(engine, z):
             ranked = engine.trace.steps[-1].phase == "ranked"
-            want = _reference_scores(engine, z) if ranked else None
+            # a ranked step directly follows the full step that served its references
+            want = _reference_scores(engine, z, hook.steps[-2]) if ranked else None
             predict_step(engine, z)
             if ranked:
                 checked.append((engine.trace.steps[-1].scores, want))
 
         monkeypatch.setattr(SortblockEngine, "_predict_step", predict_and_check)
-        _, trace = run_sortblock(default_net, run, default_sched, cfg)
+        sample(default_net, run, default_sched, hooks=hook)
+        trace = hook.engine.trace
         assert len(checked) == [r.phase for r in trace.steps].count("ranked") > 0
         for got, want in checked:
             assert _bits(got) == _bits(want)
@@ -266,20 +272,21 @@ class TestLifecyclePhases:
         outputs[4] *= np.float32(1e-44)
         outputs[5] *= np.float32(3e37)
         engine = SortblockEngine(SortblockConfig(refresh_interval=5, rho=0.5, window=(900, 100)), 6)
+        hook = PassThrough(engine)
 
         def serve(step, t, z):
-            engine.begin_step(step, t)
+            hook.begin_step(step, t)
             x = z
             for i, out in enumerate(outputs):
                 out = outputs[i - 1] if i == 3 else out  # block 3: zero delta
-                x = engine(i, x, lambda row=None, out=out: block_output(out, row))
+                x = hook(i, x, lambda row=None, out=out: block_output(out, row))
             return x
 
         z = rng.standard_normal((4, 4)).astype(np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
             serve(0, 900, z)
-            serve(1, 880, z)
-            want = _reference_scores(engine, z)
+            serve(1, 880, z)  # a single anchor: its predictions are copies
+            want = _reference_scores(engine, z, hook.steps[0])
         assert any(math.isnan(v) for v in want) and ZERO_DELTA_SIMILARITY in want
         assert _bits(engine.trace.steps[-1].scores) == _bits(want)
 
@@ -576,6 +583,45 @@ class TestEngineAllocation:
                 tracemalloc.stop()
             assert engine.trace.steps[-1].phase == ("ranked", "follow")[index - 7]
             assert peak - before < z.nbytes, engine.trace.steps[-1].phase
+
+    def test_cache_is_its_two_anchors(self):
+        """After a cached run, a config engine's float32 arrays are four
+        (N, tokens, channels) stacks, the two anchors, the predictions and the
+        deltas, and two (tokens, channels) rows, the anchor's input and a
+        reference delta: slopes and references are re-formed, not stored."""
+        run = make_run(SMALL_SCHED, 12, 0, (8, 16))
+        cfg = SortblockConfig(refresh_interval=3, rho=0.5, window=(run.step_list[1], run.step_list[-2]))
+        engine = SortblockEngine(cfg, SMALL_NET.num_blocks)
+        sample(SMALL_NET, run, SMALL_SCHED, hooks=engine)
+        assert [r.phase for r in engine.trace.steps].count("ranked") == 3
+        arrays = {id(v): v for v in vars(engine).values() if isinstance(v, np.ndarray) and v.dtype == np.float32}
+        shapes = sorted(a.shape for a in arrays.values())
+        assert shapes == sorted([(SMALL_NET.num_blocks, 8, 16)] * 4 + [(8, 16)] * 2)
+
+    def test_references_do_not_follow_a_reused_input_array(self):
+        """The ranked step's references are the full step's deltas even when
+        the caller rewrites the full step's input array in place and hands it
+        to the ranked step: the engine keeps a copy of the anchor's input."""
+        n, shape = 6, (4, 4)
+        rng = np.random.default_rng(1)
+        outputs = [rng.standard_normal(shape).astype(np.float32) for _ in range(n)]
+        z_full, z_ranked = (rng.standard_normal(shape).astype(np.float32) for _ in range(2))
+
+        def ranked_scores(reuse):
+            engine = SortblockEngine(SortblockConfig(refresh_interval=5, rho=0.5, window=(900, 100)), n)
+            z = z_full.copy()
+            for index, t in enumerate((950, 900, 880)):  # outside, full, ranked
+                if t == 880:
+                    z = z if reuse else np.empty_like(z)
+                    z[...] = z_ranked
+                engine.begin_step(index, t)
+                x = z
+                for b in range(n):
+                    x = engine(b, x, lambda out=None, b=b: block_output(outputs[b], out))
+            assert engine.trace.steps[-1].phase == "ranked"
+            return engine.trace.steps[-1].scores
+
+        assert _bits(ranked_scores(reuse=True)) == _bits(ranked_scores(reuse=False))
 
 
 class TestColdCacheWindow:

@@ -273,6 +273,9 @@ BAD_TENSORS_JSON = {
     "unknown_kind": _entry0(lambda entry: entry.update(kind="noise")),
     "file_outside_directory": _entry0(lambda entry: entry.update(file="../trace.json")),
     "missing_entry": _edit_json(lambda doc: doc.pop(5)),
+    "step_negative": _edit_json(lambda doc: doc.append({**doc[0], "step": -1})),
+    "block_negative": _edit_json(lambda doc: doc.append({**doc[0], "block": -1})),
+    "duplicate_entry": _edit_json(lambda doc: doc.append(dict(doc[1]))),
 }
 
 
