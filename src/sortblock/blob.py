@@ -93,4 +93,6 @@ def read_latent(path) -> tuple[np.ndarray, dict]:
     if len(payload) != expected:
         raise ParseError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
     arr = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{path}: payload holds NaN or inf")
     return arr, header

@@ -31,18 +31,13 @@ from .dit import DitConfig, init_network
 from .engine import PolicySequence, SortblockConfig, inner_window, run_sortblock
 from .errors import ConfigError, NonFiniteError, ParseError, SortblockError, checked, read_json, schema
 from .metrics import latent_pair_to_images, psnr, relative_l2, ssim
-from .ratio import (
-    DEFAULT_DEGREE,
-    fit_ratio_policy,
-    fit_residual,
-    load_policy,
-    measure_l1_curve,
-    save_policy,
-)
+from .ratio import (DEFAULT_DEGREE, FIT_DEGREES, fit_ratio_policy, fit_residual, load_policy, measure_l1_curve,
+                    save_policy)
 from .trace import oracle_similarities, ranking_fidelity, record_baseline, save_trace
 
 DEFAULT_WINDOW_FRACTION = 0.8
-KNOWN_METRICS = ("psnr", "ssim", "rel_l2")
+# compare's --metrics names -> the report fields they select
+KNOWN_METRICS = {"psnr": "psnr_db", "ssim": "ssim", "rel_l2": "relative_l2"}
 
 
 @dataclass
@@ -116,11 +111,10 @@ class ExperimentConfig:
             return window
         return inner_window(self.step_list(), DEFAULT_WINDOW_FRACTION)
 
-    def sortblock_config(self, **overrides) -> SortblockConfig:
+    def sortblock_config(self) -> SortblockConfig:
         policy = None
-        ratio_mode = overrides.pop("ratio_mode", self.ratio)
-        beta = overrides.pop("beta", self.beta)
-        if ratio_mode == "adaptive":
+        beta = self.beta
+        if self.ratio == "adaptive":
             policy = load_policy(self.policy_file)
             if beta is None:
                 beta = policy.beta  # unset beta: keep the fitted policy's scale
@@ -129,13 +123,13 @@ class ExperimentConfig:
         elif beta is None:
             beta = 1.0
         return SortblockConfig(
-            refresh_interval=overrides.pop("refresh_interval", self.refresh_interval),
-            ratio_mode=ratio_mode,
-            rho=overrides.pop("rho", self.rho),
+            refresh_interval=self.refresh_interval,
+            ratio_mode=self.ratio,
+            rho=self.rho,
             ratio_policy=policy,
             beta=beta,
-            window=overrides.pop("window", self.resolved_window()),
-            predict_mode=overrides.pop("predict_mode", self.predict),
+            window=self.resolved_window(),
+            predict_mode=self.predict,
         )
 
     def problem_hash(self) -> str:
@@ -269,10 +263,9 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
         write_csv(out / "oracle_similarity.csv", ["step", "block", "similarity"], oracle_rows)
 
     first, last = l1[0], l1[-1]
-    mid = sorted(l1)[len(l1) // 2]
     lo_q = int(0.15 * len(l1))
     middle = sorted(l1[lo_q : len(l1) - lo_q])
-    mid_median = middle[len(middle) // 2] if middle else mid
+    mid_median = middle[len(middle) // 2]
     endpoints_higher = first > mid_median and last > mid_median
     print(
         f"l1 curve shape: first={first:.6g} last={last:.6g} "
@@ -284,10 +277,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
 
 def cmd_fit(cfg: ExperimentConfig, curve_file: str, degree: int, beta: float) -> int:
     """Fit the recomputation-ratio polynomial from an l1_curve.csv."""
-    curve_path = Path(curve_file)
-    if not curve_path.exists():
-        raise FileNotFoundError(f"curve file not found: {curve_file}")
-    ts, ys = _parse_curve_csv(curve_path)
+    ts, ys = _parse_curve_csv(curve_file)
     policy = fit_ratio_policy(ts, ys, degree=degree, beta=beta)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -341,30 +331,26 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _fidelity(a, b) -> dict:
+    """PSNR and SSIM of the latents' shared-scale images, and their relative
+    L2; identical latents give exactly 100.0, 1.0 and 0.0."""
+    img_a, img_b = latent_pair_to_images(a, b)
+    return {"psnr_db": psnr(img_a, img_b), "ssim": ssim(img_a, img_b), "relative_l2": relative_l2(a, b)}
+
+
 def cmd_compare(path_a: str, path_b: str, selected: Sequence[str], out_path: Optional[str]) -> int:
-    """Metric report between two latent blobs (identical files short-circuit)."""
-    raw_a = Path(path_a).read_bytes()
-    raw_b = Path(path_b).read_bytes()
+    """Metric report between two latent blobs."""
     a, header_a = blob.read_latent(path_a)
     b, header_b = blob.read_latent(path_b)
     report: dict = {
         "a": str(path_a),
         "b": str(path_b),
         "same_problem": header_a.get("config_hash") == header_b.get("config_hash"),
-        "identical_files": raw_a == raw_b,
+        "identical_files": Path(path_a).read_bytes() == Path(path_b).read_bytes(),
     }
-    if report["identical_files"]:
-        values = {"psnr_db": 100.0, "ssim": 1.0, "relative_l2": 0.0}
-    else:
-        img_a, img_b = latent_pair_to_images(a, b)
-        values = {
-            "psnr_db": psnr(img_a, img_b),
-            "ssim": ssim(img_a, img_b),
-            "relative_l2": relative_l2(a, b),
-        }
-    keymap = {"psnr": "psnr_db", "ssim": "ssim", "rel_l2": "relative_l2"}
+    values = _fidelity(a, b)
     for name in selected:
-        report[keymap[name]] = values[keymap[name]]
+        report[KNOWN_METRICS[name]] = values[KNOWN_METRICS[name]]
     text = json.dumps(report, indent=1)
     print(text)
     if out_path:
@@ -372,29 +358,34 @@ def cmd_compare(path_a: str, path_b: str, selected: Sequence[str], out_path: Opt
     return 0
 
 
-def _parse_axis_values(axis: str, raw: str, step_list: Sequence[int]):
+# sweep axis -> (the ExperimentConfig field it sets, the parser of one value);
+# the window axis sets window_high and window_low
+SCALAR_AXES = {"K": ("refresh_interval", int), "beta": ("beta", float)}
+
+
+def _parse_axis_values(axis: str, raw: str, step_list: Sequence[int]) -> list[tuple[object, dict]]:
+    """``(label, fields)`` per value of ``--values``: the sweep.csv label and
+    the ``ExperimentConfig`` fields the value sets."""
     tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not tokens:
         raise ConfigError("--values must list at least one value")
+    split = max(1, math.ceil(0.3 * len(step_list)))
+    stages = {"early-only": step_list[:split], "late-only": step_list[split:]}
     try:
-        if axis == "K":
-            return [("K", int(tok), {"refresh_interval": int(tok)}) for tok in tokens]
-        if axis == "beta":
-            return [("beta", float(tok), {"beta": float(tok)}) for tok in tokens]
+        if axis in SCALAR_AXES:
+            name, parse = SCALAR_AXES[axis]
+            return [(parse(tok), {name: parse(tok)}) for tok in tokens]
         values = []
-        n = len(step_list)
-        split = max(1, math.ceil(0.3 * n))
         for tok in tokens:
-            if tok == "early-only":
-                window = (int(step_list[0]), int(step_list[split - 1]))
-            elif tok == "late-only":
-                window = (int(step_list[split]), int(step_list[-1]))
+            if tok in stages:
+                if not stages[tok]:
+                    raise ConfigError(f"window value {tok!r}: {len(step_list)} steps leave that stage empty")
+                hi, lo = stages[tok][0], stages[tok][-1]
             elif ":" in tok:
                 hi, lo = tok.split(":", 1)
-                window = (int(hi), int(lo))
             else:
                 raise ConfigError(f"window value {tok!r}: use 'HI:LO', 'early-only' or 'late-only'")
-            values.append(("window", tok, {"window": window}))
+            values.append((tok, {"window_high": int(hi), "window_low": int(lo)}))
         return values
     except ValueError as exc:
         raise ConfigError(f"bad --values for axis {axis}: {exc}") from exc
@@ -405,33 +396,31 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, raw_values: str) -> int:
     mean ranking-fidelity tau against the recorded oracle."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    step_list = cfg.step_list()
-    parsed = _parse_axis_values(axis, raw_values, step_list)
+    configs = [
+        (label, dataclasses.replace(cfg, **fields).sortblock_config())
+        for label, fields in _parse_axis_values(axis, raw_values, cfg.step_list())
+    ]
     sched = cfg.schedule()
     net = init_network(cfg.dit_config())
     baseline_evals = cfg.steps * cfg.blocks
 
-    baselines = {}
-    for seed in cfg.seeds:
-        run = make_run(sched, cfg.steps, seed, (cfg.tokens, cfg.channels))
-        baselines[seed] = record_baseline(net, run, sched, heavy=True)
+    runs = {seed: make_run(sched, cfg.steps, seed, (cfg.tokens, cfg.channels)) for seed in cfg.seeds}
+    baselines = {seed: record_baseline(net, run, sched, heavy=True) for seed, run in runs.items()}
 
     rows = []
-    for _, value, overrides in parsed:
-        sb_cfg = cfg.sortblock_config(**overrides)
+    for label, sb_cfg in configs:
         evals = None
         psnrs, ssims, taus = [], [], []
         for seed in cfg.seeds:
-            run = make_run(sched, cfg.steps, seed, (cfg.tokens, cfg.channels))
-            latent, trace = run_sortblock(net, run, sched, sb_cfg)
+            latent, trace = run_sortblock(net, runs[seed], sched, sb_cfg)
             if evals is None:
                 evals = trace.total_evals
             elif evals != trace.total_evals:
                 raise SortblockError("eval count varied across seeds for one config")
             base = baselines[seed]
-            img_a, img_b = latent_pair_to_images(latent, base.final_latent)
-            psnrs.append(psnr(img_a, img_b))
-            ssims.append(ssim(img_a, img_b))
+            fidelity = _fidelity(latent, base.final_latent)
+            psnrs.append(fidelity["psnr_db"])
+            ssims.append(fidelity["ssim"])
             for rec in trace.steps:
                 if rec.phase == "ranked" and rec.scores is not None:
                     oracle = oracle_similarities(base, rec.step - 1)
@@ -439,7 +428,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, raw_values: str) -> int:
                     taus.append(ranking_fidelity(policy, oracle))
         rows.append(
             (
-                value,
+                label,
                 evals,
                 baseline_evals / evals,
                 float(np.mean(psnrs)),
@@ -448,10 +437,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, raw_values: str) -> int:
             )
         )
 
-    if all(isinstance(r[0], (int, float)) for r in rows):
-        rows.sort(key=lambda r: r[0])
-    else:
-        rows.sort(key=lambda r: str(r[0]))
+    rows.sort(key=lambda r: r[0])  # the labels of one axis are all numbers or all strings
     path = out / "sweep.csv"
     write_csv(
         path,
@@ -513,7 +499,7 @@ def make_parser() -> _Parser:
     p_fit = sub.add_parser("fit", help="fit the ratio polynomial from an L1 curve")
     _add_common(p_fit)
     p_fit.add_argument("--curve", required=True, help="l1_curve.csv from analyze")
-    p_fit.add_argument("--degree", type=int, choices=[3, 4, 5], default=DEFAULT_DEGREE)
+    p_fit.add_argument("--degree", type=int, choices=FIT_DEGREES, default=DEFAULT_DEGREE)
 
     p_run = sub.add_parser("run", help="baseline or cached generation run")
     _add_common(p_run)
@@ -527,7 +513,7 @@ def make_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="ablation sweep over K, beta, or window")
     _add_common(p_sweep)
-    p_sweep.add_argument("--axis", required=True, choices=["K", "beta", "window"])
+    p_sweep.add_argument("--axis", required=True, choices=[*SCALAR_AXES, "window"])
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values; window accepts HI:LO, early-only, late-only")
 
@@ -554,9 +540,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_fit(cfg, args.curve, args.degree, 1.0 if cfg.beta is None else cfg.beta)
         if args.command == "run":
             return cmd_run(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.axis, args.values)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_sweep(cfg, args.axis, args.values)
     except (ConfigError, NonFiniteError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

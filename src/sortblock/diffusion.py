@@ -134,6 +134,9 @@ def sample(net, run: SamplerRun, sched: NoiseSchedule, hooks=None) -> Matrix:
     latent holds inf or NaN raises ``NonFiniteError`` naming the step index
     and timestep, so a diverged run stops where it diverged.
     """
+    # imported per call, not at module top, so that every sample calls the
+    # current ``dit.network_forward``: bench/tracing.py replaces it, as it
+    # does ``engine.sample``, ``trace.sample`` and ``engine.SortblockEngine``
     from .dit import network_forward
 
     begin_step = getattr(hooks, "begin_step", None)

@@ -425,6 +425,24 @@ class SortblockEngine:
         rec.scores = list(self.policy.scores)
 
 
+def sample_counted(sampler, net, run: SamplerRun, sched: NoiseSchedule, engine: SortblockEngine) -> Matrix:
+    """``sampler(net, run, sched, hooks=engine)``, timed into the trace's
+    ``wall_time_s``.  Where the network counts its block evals
+    (``net.eval_count``), the trace's eval total must agree with that count.
+
+    ``sampler`` is ``diffusion.sample`` as the caller's module sees it."""
+    evals_before = getattr(net, "eval_count", None)
+    t0 = time.perf_counter()
+    latent = sampler(net, run, sched, hooks=engine)
+    engine.trace.wall_time_s = time.perf_counter() - t0
+    if evals_before is not None and engine.trace.total_evals != net.eval_count - evals_before:
+        raise SortblockError(
+            f"eval accounting mismatch: the trace counts {engine.trace.total_evals} "
+            f"block evals, the network {net.eval_count - evals_before}"
+        )
+    return latent
+
+
 def run_sortblock(
     net,
     run: SamplerRun,
@@ -434,18 +452,7 @@ def run_sortblock(
 ) -> tuple[Matrix, RunTrace]:
     """Sample with the caching engine installed; returns (final latent, trace)."""
     engine = SortblockEngine(cfg, net.num_blocks, policy_override)
-    evals_before = getattr(net, "eval_count", None)
-    t0 = time.perf_counter()
-    latent = sample(net, run, sched, hooks=engine)
-    engine.trace.wall_time_s = time.perf_counter() - t0
-    if evals_before is not None:
-        # the trace's accounting must agree with the network's own counter
-        counted = net.eval_count - evals_before
-        if engine.trace.total_evals != counted:
-            raise SortblockError(
-                f"eval accounting mismatch: the trace counts {engine.trace.total_evals} "
-                f"block evals, the network {counted}"
-            )
+    latent = sample_counted(sample, net, run, sched, engine)
     engine.trace.config = {
         "mode": "sortblock",
         "refresh_interval": cfg.refresh_interval,
@@ -468,22 +475,15 @@ def expected_eval_count(
     window: tuple[int, int],
     refresh_interval: int,
     num_blocks: int,
-    rho: Optional[float] = None,
-    rho_fn: Optional[Callable[[int], float]] = None,
+    rho: float,
 ) -> int:
     """Closed-form lifecycle accounting: the block-eval total derived from
     phase labels alone, without touching any tensors.  Full steps (outside or
-    refresh) cost N; ranked and follow steps cost ceil(rho*N), with the quota
-    frozen at each ranked step's timestep for the rest of its interval (the
-    policy is only rebuilt there)."""
-    if (rho is None) == (rho_fn is None):
-        raise ConfigError("provide exactly one of rho / rho_fn")
+    refresh) cost N; ranked and follow steps cost ceil(rho*N)."""
+    quota = recompute_quota(rho, num_blocks)
     total = 0
     counter: Optional[int] = None
-    quota = 0
     for t in step_list:
         label, counter = step_phase(t, window, refresh_interval, counter)
-        if label == "ranked":
-            quota = recompute_quota(rho if rho_fn is None else rho_fn(int(t)), num_blocks)
         total += num_blocks if label in ("outside", "full") else quota
     return total

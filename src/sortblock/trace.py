@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -140,12 +139,10 @@ def record_baseline(
                 f"heavy trace would need ~{est / 2**20:.0f} MiB "
                 f"(budget {HEAVY_TRACE_BYTE_BUDGET / 2**20:.0f} MiB)"
             )
-    from .engine import SortblockEngine  # the engine module imports this one
+    from .engine import SortblockEngine, sample_counted  # the engine module imports this one
 
     recorder = SortblockEngine(None, net.num_blocks, heavy=heavy, store_outputs=store_outputs)
-    t0 = time.perf_counter()
-    final = sample(net, run, sched, hooks=recorder)
-    recorder.trace.wall_time_s = time.perf_counter() - t0
+    final = sample_counted(sample, net, run, sched, recorder)
     recorder.trace.config = {
         "mode": "baseline",
         "steps": len(run.step_list),

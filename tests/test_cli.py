@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from sortblock.cli import (
     ExperimentConfig,
     build_config,
     main,
+    make_parser,
     read_csv,
     write_csv,
 )
@@ -272,10 +274,18 @@ class TestSweep:
         evals = [int(r[1]) for r in rows]
         assert evals == sorted(evals)
 
-    def test_bad_axis_values_exit_code(self, tmp_path):
+    def test_bad_axis_values_exit_code(self, tmp_path, capsys):
         assert _run_main(["sweep", "--axis", "K", "--values", "3,x", "--out-dir", tmp_path]) == 1
         assert _run_main(["sweep", "--axis", "beta", "--values", "a,b", "--out-dir", tmp_path]) == 1
         assert _run_main(["sweep", "--axis", "window", "--values", "junk", "--out-dir", tmp_path]) == 1
+        capsys.readouterr()
+        # one step leaves the late stage empty, and its one step cannot span a window
+        for stage in ("late-only", "early-only"):
+            argv = ["sweep", "--axis", "window", "--values", stage, "--steps", 1,
+                    "--window-high", 999, "--window-low", 0, "--out-dir", tmp_path]
+            assert _run_main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
     def test_window_sweep_rows(self, tmp_path, capsys):
         rc = _run_main(
@@ -307,6 +317,16 @@ class TestConfigMerging:
         assert cfg.steps == 20  # from file
         assert cfg.rho == 0.25  # flag wins
         assert cfg.blocks == 12  # default
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["fit", "--curve", "c.csv"], ["run"], ["sweep", "--axis", "K", "--values", "3"],
+    ])
+    def test_every_config_field_has_a_flag(self, argv):
+        """build_config reads flags by field name: a field with no flag of
+        the same dest could be set only from a config file."""
+        namespace = make_parser().parse_args(argv)
+        missing = [f.name for f in dataclasses.fields(ExperimentConfig) if not hasattr(namespace, f.name)]
+        assert missing == []
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

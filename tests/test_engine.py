@@ -29,6 +29,7 @@ from sortblock import (
     make_run,
     make_schedule,
     recompute_quota,
+    record_baseline,
     run_sortblock,
     sample,
     select_blocks,
@@ -510,6 +511,19 @@ class TestEngineMisuse:
         with pytest.raises(SortblockError, match="timesteps must decrease"):
             engine.begin_step(1, t)
 
+    @pytest.mark.parametrize("recorded", [True, False])
+    def test_network_counter_missing_an_eval_raises(self, recorded):
+        """A baseline recording and a cached run check their trace's eval
+        total against the network's own counter, by one rule."""
+        net = _MissesOneEval(init_network(DitConfig(num_blocks=2, num_tokens=8, channels=8)))
+        sched = make_schedule(1000)
+        run = make_run(sched, 6, 0, (8, 8))
+        with pytest.raises(SortblockError, match="eval accounting mismatch"):
+            if recorded:
+                record_baseline(net, run, sched)
+            else:
+                run_sortblock(net, run, sched, SortblockConfig(refresh_interval=2, window=(999, 1)))
+
     def test_accounting_mismatch_raises_under_optimize(self):
         """The runtime checks are raises, not asserts, so they hold under -O."""
         src = Path(__file__).resolve().parent.parent / "src"
@@ -521,6 +535,22 @@ class TestEngineMisuse:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "SortblockError: eval accounting mismatch" in proc.stdout
+
+
+class _MissesOneEval:
+    """A network whose own eval counter misses its first block eval."""
+
+    def __init__(self, net):
+        self.net = net
+        self.num_blocks = net.num_blocks
+        self._start = net.eval_count
+
+    @property
+    def eval_count(self):
+        return max(self._start, self.net.eval_count - 1)
+
+    def forward(self, z, t, hook=None):
+        return self.net.forward(z, t, hook)
 
 
 _MISCOUNT_UNDER_OPTIMIZE = """

@@ -119,10 +119,17 @@ BAD_BLOBS = {
     # empty, so the byte count matches, but past numpy's dimension or size limit
     "shape_dimension_past_int64": _blob_bytes({"shape": [0, 2**70], "dtype": "f32le"}, b""),
     "shape_size_past_int64": _blob_bytes({"shape": [0, 2**62, 2**62], "dtype": "f32le"}, b""),
+    # a well-formed header and payload whose values are not all finite
+    "payload_nan": _blob_bytes({"shape": [4, 4], "dtype": "f32le"}, np.full(16, np.nan, "<f4").tobytes()),
+    "payload_inf": _blob_bytes({"shape": [4, 4], "dtype": "f32le"}, np.array([0.0] * 15 + [-np.inf], "<f4").tobytes()),
 }
 
 # what the error names beyond the file, where a case has a message of its own
-BLOB_MESSAGES = {"header_length_past_end": "header length 1048576 runs past the end"}
+BLOB_MESSAGES = {
+    "header_length_past_end": "header length 1048576 runs past the end",
+    "payload_nan": "NaN or inf",
+    "payload_inf": "NaN or inf",
+}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_POLICIES))
