@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, checked, f32_nbytes, read_json, schema
+from .errors import ParseError, checked, f32_nbytes, read_bytes, read_json, schema
 
 MAGIC = b"SORTBLOCK-LATENT"
 
@@ -75,7 +74,7 @@ _HEADER_FIELDS = schema({"shape": list[int], "dtype": str})
 
 
 def read_latent(path) -> tuple[np.ndarray, dict]:
-    raw = Path(path).read_bytes()
+    raw = read_bytes(path)
     if len(raw) < len(MAGIC) + 4 or raw[: len(MAGIC)] != MAGIC:
         raise ParseError(f"{path}: not a latent blob (bad magic)")
     offset = len(MAGIC)

@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from . import blob
 from .diffusion import NoiseSchedule, make_run, make_schedule, uniform_step_list
 from .dit import DitConfig, init_network
 from .engine import PolicySequence, SortblockConfig, inner_window, run_sortblock
-from .errors import ConfigError, NonFiniteError, ParseError, SortblockError, checked, read_json, schema
+from .errors import ConfigError, NonFiniteError, ParseError, SortblockError, checked, read_bytes, read_json, schema
 from .metrics import latent_pair_to_images, psnr, relative_l2, ssim
 from .ratio import (DEFAULT_DEGREE, FIT_DEGREES, fit_ratio_policy, fit_residual, load_policy, measure_l1_curve,
                     save_policy)
@@ -200,8 +201,7 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = list(csv.reader(io.StringIO(read_bytes(path).decode("utf-8"), newline="")))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: unreadable CSV: {exc}") from exc
     if not rows:
@@ -240,6 +240,8 @@ def _baseline_setup(cfg: ExperimentConfig, seed: int):
 def cmd_analyze(cfg: ExperimentConfig) -> int:
     """Baseline diagnostics: consecutive-step L1 curve, per-block input/output
     profile, and (heavy mode) the offline oracle similarities."""
+    if cfg.steps < 2:
+        raise ConfigError("analyze needs --steps >= 2: the L1 curve compares consecutive steps")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     net, sched, run = _baseline_setup(cfg, cfg.seed)

@@ -1,12 +1,15 @@
-"""Exception hierarchy shared across the package, and the one JSON reader.
+"""Exception hierarchy shared across the package, and the one file reader.
 
-Every JSON file the package reads (ratio policies, latent blob headers,
-configs, ``trace.json`` and ``tensors.json``) goes through ``read_json`` and
-``checked``: a value has type T only when the exact type ``json`` parses it
-to is one that T allows.  A bool is not a number, an int is a float, null
-fits only an ``Optional`` field, and a ``list[T]`` holds only T.  Nothing is
-coerced: ``"3"``, ``3.7`` and ``true`` are not the int 3.  A file that breaks
-the rule raises ``ParseError`` naming it, as does a tensor shape that
+Every input file the package reads goes through ``read_bytes`` (a heavy
+trace's tensor files excepted, which ``trace`` reads itself): a file that is
+missing, a directory or unreadable raises ``ParseError`` naming it.  Every
+JSON file (ratio policies, latent blob headers, configs, ``trace.json`` and
+the ``tensors.json`` header) goes through ``read_json`` and ``checked``: a
+value has type T only when the exact type ``json`` parses it to is one that
+T allows.  A bool is not a number, an int is a float, null fits only an
+``Optional`` field, and a ``list[T]`` holds only T.  Nothing is coerced:
+``"3"``, ``3.7`` and ``true`` are not the int 3.  A file that breaks the
+rule raises ``ParseError`` naming it, as does a tensor shape that
 ``f32_nbytes`` refuses.
 """
 
@@ -46,14 +49,23 @@ class ResourceError(SortblockError):
 
 
 class ParseError(SortblockError):
-    """A structured input file (CSV, JSON, blob) is malformed."""
+    """A structured input file (CSV, JSON, blob, trace) is malformed or cannot be read."""
+
+
+def read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``; ParseError naming it if it is
+    missing, a directory or unreadable."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
 
 
 def read_json(path, data: bytes | None = None):
     """The JSON document held by the file at ``path``, or by ``data``, bytes
     read from it; ParseError naming ``path`` if they are not UTF-8 JSON."""
     try:
-        return json.loads((Path(path).read_bytes() if data is None else data).decode("utf-8"))
+        return json.loads((read_bytes(path) if data is None else data).decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an int past the digit limit, deep nesting
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -99,9 +111,10 @@ def checked(path, doc, fields: dict) -> dict:
 def f32_nbytes(path, shape) -> int:
     """The bytes of a float32 array of ``shape``, a shape read from ``path``;
     ParseError naming it for a negative dimension or a shape past numpy's
-    size limit, which binds the nonzero dimensions of an empty array too."""
+    limits: 32 dimensions (numpy 1's) and an intp size, which binds the
+    nonzero dimensions of an empty array too."""
     if min(shape, default=0) < 0:
         raise ParseError(f"{path}: negative dimension in shape {list(shape)}")
-    if 4 * math.prod(filter(None, shape)) > sys.maxsize:  # numpy's intp
+    if len(shape) > 32 or 4 * math.prod(filter(None, shape)) > sys.maxsize:
         raise ParseError(f"{path}: shape {list(shape)} is too large for an array")
     return 4 * math.prod(shape)

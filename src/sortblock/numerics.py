@@ -198,10 +198,6 @@ class Rng:
         self._state = x
         return (x * _XS64_MUL) & _MASK64
 
-    def random(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) / float(1 << 53)
-
     def fill_u64(self, count: int) -> np.ndarray:
         """Next `count` raw draws as a uint64 array (exact; see the class
         docstring for the lane layout)."""

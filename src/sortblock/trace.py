@@ -12,11 +12,12 @@ output at every step, which is what the oracle and the L1-curve analysis
 consume.  Heavy mode is guarded by a memory preflight so oversized configs
 fail loudly instead of thrashing.
 
-Serialization: scalar records go to a single JSON document, ``trace.json``;
-heavy tensors go to raw little-endian float32 blobs next to it, one file per
-tensor, described by a JSON sidecar, ``tensors.json``, listing {file, shape,
-dtype, step, block, kind} per tensor.  Both JSON files are compact, with one
-record per line: each step of ``trace.json``, each entry of the sidecar.
+Serialization: scalar records go to one compact JSON document,
+``trace.json``, one step record per line.  Heavy tensors go next to it as
+raw little-endian float32 files named by ``_tensor_file``.  They share one
+shape, so ``tensors.json`` is a one-object header: {version, shape, steps,
+blocks, outputs}, a steps x blocks grid of deltas (present exactly when the
+trace is heavy) and an output for each of the first ``outputs`` steps.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .diffusion import NoiseSchedule, SamplerRun, sample
-from .errors import ConfigError, MissingDataError, ParseError, ResourceError, checked, f32_nbytes, read_json, schema
+from .errors import (ConfigError, MissingDataError, ParseError, ResourceError, ShapeError, checked, f32_nbytes,
+                     read_json, schema)
 from .metrics import kendall_tau
 from .numerics import Matrix
 
@@ -111,11 +113,6 @@ def served_delta_stats(stack: np.ndarray, work: np.ndarray) -> tuple[list[float]
     return l1.tolist(), l2
 
 
-def estimate_heavy_bytes(num_steps: int, num_blocks: int, elements: int) -> int:
-    # one delta per block per step plus one output per step, float32
-    return num_steps * (num_blocks + 1) * elements * 4
-
-
 def record_baseline(
     net,
     run: SamplerRun,
@@ -133,7 +130,8 @@ def record_baseline(
     if store_outputs is None:
         store_outputs = heavy
     if heavy:
-        est = estimate_heavy_bytes(len(run.step_list), net.num_blocks, run.z_init.size)
+        # one float32 delta per block per step plus one output per step
+        est = len(run.step_list) * (net.num_blocks + 1) * run.z_init.size * 4
         if est > HEAVY_TRACE_BYTE_BUDGET:
             raise ResourceError(
                 f"heavy trace would need ~{est / 2**20:.0f} MiB "
@@ -187,51 +185,49 @@ def ranking_fidelity(predicted, oracle_scores) -> float:
 def save_trace(trace: RunTrace, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    tensors = []  # (file, array, step, block, kind)
-    if trace.heavy and trace.deltas is not None:
-        tensors += [(f"delta_s{s:04d}_b{b:03d}.f32", delta, s, b, "delta")
-                    for s, per_block in enumerate(trace.deltas) for b, delta in enumerate(per_block)]
-    if trace.outputs is not None:
-        tensors += [(f"output_s{s:04d}.f32", out, s, None, "output") for s, out in enumerate(trace.outputs)]
-    for fname, arr, *_ in tensors:
-        _write_tensor(os.path.join(directory, fname), arr)
+    deltas = trace.deltas if trace.heavy and trace.deltas else []
+    outputs = trace.outputs or []
+    files = {_tensor_file(s, b): a for s, per_block in enumerate(deltas) for b, a in enumerate(per_block)}
+    files.update((_tensor_file(s), a) for s, a in enumerate(outputs))
+    shape = next(iter(files.values())).shape if files else ()
+    blocks = len(deltas[0]) if deltas else 0
+    if any(a.shape != shape for a in files.values()) or any(len(per_block) != blocks for per_block in deltas):
+        raise ShapeError("a trace's tensors must share one shape, and each step must hold one delta per block")
+    for fname, arr in files.items():  # raw <f4 bytes, not copied when arr already is contiguous <f4
+        data = memoryview(np.ascontiguousarray(arr, "<f4").reshape(-1).view(np.uint8))
+        fd = os.open(os.path.join(directory, fname), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     doc = trace.to_dict()
-    doc["stored_outputs"] = trace.outputs is not None
-    steps = doc.pop("steps")  # one per line, then the other fields
-    (directory / "trace.json").write_text('{"steps":' + _json_lines(steps) + "," + _dumps(doc)[1:])
-    if tensors:
-        (directory / "tensors.json").write_text(_json_lines(
-            {"file": f, "shape": list(a.shape), "dtype": "f32le", "step": s, "block": b, "kind": k}
-            for f, a, s, b, k in tensors
-        ))
+    steps = ",\n".join(map(_dumps, doc.pop("steps")))  # one per line, then the other fields
+    (directory / "trace.json").write_text('{"steps":[\n' + steps + "\n]," + _dumps(doc)[1:])
+    if files:
+        (directory / "tensors.json").write_text(_dumps({"version": TENSORS_VERSION, "shape": list(shape),
+                                                        "steps": len(deltas), "blocks": blocks,
+                                                        "outputs": len(outputs)}))
+
+
+TENSORS_VERSION = 2  # 1 was an array of one entry per tensor
+
+
+def _tensor_file(step: int, block: Optional[int] = None) -> str:
+    """The file of block ``block``'s delta at ``step``, or of the step's
+    model output when ``block`` is None."""
+    return f"output_s{step:04d}.f32" if block is None else f"delta_s{step:04d}_b{block:03d}.f32"
 
 
 _dumps = json.JSONEncoder(separators=(",", ":")).encode  # compact, C-encoded (no indent)
 
 
-def _json_lines(records) -> str:
-    """A JSON array with one compact record per line."""
-    return "[\n" + ",\n".join(map(_dumps, records)) + "\n]"
-
-
-def _write_tensor(path: str, arr: Matrix) -> None:
-    """``arr`` as raw little-endian float32 bytes (no copy when it already is
-    contiguous ``<f4``)."""
-    data = memoryview(np.ascontiguousarray(arr, "<f4").reshape(-1).view(np.uint8))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
-        while data:
-            data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
-
-
 def load_trace(directory) -> RunTrace:
-    """Read a trace written by ``save_trace``.  A ``trace.json`` or
-    ``tensors.json`` that is not JSON, is truncated, or lacks a field or has
-    one of the wrong type, a tensor entry with a negative step or block or a
-    second entry for the same tensor, and a missing, unreadable or wrongly
-    sized tensor file, raise ``ParseError`` naming the file."""
+    """Read a trace written by ``save_trace``.  ParseError names the file at
+    fault: a ``trace.json`` or ``tensors.json`` that is not JSON, or lacks a
+    field or has one of the wrong type; a header of another version, with a
+    negative count, or with deltas where ``trace.json`` says light (or none
+    where it says heavy); a missing, unreadable or wrongly sized tensor file."""
     directory = Path(directory)
     path = directory / "trace.json"
     doc = checked(path, read_json(path), _TRACE_FIELDS)
@@ -242,43 +238,34 @@ def load_trace(directory) -> RunTrace:
         config=doc["config"],
         heavy=doc["heavy"],
     )
-    sidecar_path = directory / "tensors.json"
-    if sidecar_path.exists():
-        sidecar = read_json(sidecar_path)
-        if not isinstance(sidecar, list):
-            raise ParseError(f"{sidecar_path}: expected a JSON array")
-        deltas: dict[tuple[int, int], Matrix] = {}
-        outputs: dict[tuple[int], Matrix] = {}
-        for entry in sidecar:
-            kind = entry.get("kind") if type(entry) is dict else None
-            entry = checked(sidecar_path, entry, _DELTA_FIELDS if kind == "delta" else _TENSOR_FIELDS)
-            name, shape, step = entry["file"], entry["shape"], entry["step"]
-            if "/" in name or os.sep in name:
-                raise ParseError(f"{sidecar_path}: tensor file {name!r} is not a plain file name")
-            if kind not in ("delta", "output"):
-                raise ParseError(f"{sidecar_path}: unknown tensor kind {kind!r}")
-            table, key = (deltas, (step, entry["block"])) if kind == "delta" else (outputs, (step,))
-            if min(key) < 0:
-                raise ParseError(f"{sidecar_path}: {kind} tensor {name!r} has a negative step or block")
-            if key in table:
-                raise ParseError(f"{sidecar_path}: lists a second {kind} tensor for step/block {key}")
-            table[key] = _read_tensor(os.path.join(directory, name), shape, f32_nbytes(sidecar_path, shape))
-        try:
-            if deltas:
-                n_steps = max(s for s, _ in deltas) + 1
-                n_blocks = max(b for _, b in deltas) + 1
-                trace.deltas = [[deltas[(s, b)] for b in range(n_blocks)] for s in range(n_steps)]
-            if outputs:
-                trace.outputs = [outputs[(s,)] for s in range(max(outputs)[0] + 1)]
-        except KeyError as exc:
-            raise ParseError(f"{sidecar_path}: lists no tensor for step/block {exc.args[0]}") from None
+    sidecar = directory / "tensors.json"
+    if not (trace.heavy or sidecar.exists()):  # a heavy trace must have one
+        return trace
+    header = checked(sidecar, read_json(sidecar), {"version": _HEADER_FIELDS["version"]})
+    if header["version"] != TENSORS_VERSION:
+        raise ParseError(f"{sidecar}: version {header['version']}, expected {TENSORS_VERSION}")
+    checked(sidecar, header, _HEADER_FIELDS)
+    steps, blocks, outputs = header["steps"], header["blocks"], header["outputs"]
+    if min(steps, blocks, outputs) < 0:
+        raise ParseError(f"{sidecar}: a negative tensor count")
+    if (steps > 0) != trace.heavy:
+        raise ParseError(f"{sidecar}: {steps} steps of deltas, although {path} gives heavy={trace.heavy}")
+    shape = header["shape"]
+    nbytes = f32_nbytes(sidecar, shape)
+
+    def read(step: int, block: Optional[int] = None) -> Matrix:
+        return _read_tensor(os.path.join(directory, _tensor_file(step, block)), shape, nbytes, sidecar)
+
+    if trace.heavy:
+        trace.deltas = [[read(s, b) for b in range(blocks)] for s in range(steps)]
+    if outputs:
+        trace.outputs = [read(s) for s in range(outputs)]
     return trace
 
 
 _TRACE_FIELDS = schema({"steps": list, "total_evals": int, "wall_time_s": float, "config": dict, "heavy": bool})
 _STEP_FIELDS = schema(typing.get_type_hints(StepRecord))
-_TENSOR_FIELDS = schema({"file": str, "shape": list[int], "kind": str, "step": int})
-_DELTA_FIELDS = {**_TENSOR_FIELDS, **schema({"block": int})}
+_HEADER_FIELDS = schema({"version": int, "shape": list[int], "steps": int, "blocks": int, "outputs": int})
 
 
 def _step_record(path: Path, r) -> StepRecord:
@@ -288,16 +275,17 @@ def _step_record(path: Path, r) -> StepRecord:
     return StepRecord(**{key: r[key] for key in _STEP_FIELDS})
 
 
-def _read_tensor(path: str, shape, nbytes: int) -> Matrix:
-    """One raw little-endian float32 tensor file of ``nbytes`` bytes; a
-    missing, unreadable or wrongly sized file raises ParseError naming it."""
+def _read_tensor(path: str, shape, nbytes: int, sidecar: Path) -> Matrix:
+    """One raw little-endian float32 tensor file of ``nbytes`` bytes, as
+    ``sidecar`` gives it; a missing, unreadable or wrongly sized file raises
+    ParseError naming it and ``sidecar``."""
     try:
         fd = os.open(path, os.O_RDONLY)
         try:
             size = os.fstat(fd).st_size
             if size != nbytes:
                 raise ParseError(
-                    f"{path}: holds {size} bytes, the sidecar gives shape {list(shape)} ({nbytes} bytes)"
+                    f"{path}: holds {size} bytes, {sidecar} gives shape {list(shape)} ({nbytes} bytes)"
                 )
             arr = np.empty(shape, "<f4")
             view = memoryview(arr.reshape(-1).view(np.uint8))
@@ -308,5 +296,5 @@ def _read_tensor(path: str, shape, nbytes: int) -> Matrix:
         finally:
             os.close(fd)
     except OSError as exc:
-        raise ParseError(f"{path}: cannot read tensor file: {exc.strerror}") from exc
+        raise ParseError(f"{path}: cannot read the tensor file {sidecar} names: {exc.strerror}") from exc
     return arr

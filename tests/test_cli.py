@@ -68,6 +68,17 @@ class TestAnalyze:
         assert (tmp_path / "l1_curve.csv").exists()
         assert not (tmp_path / "oracle_similarity.csv").exists()
 
+    def test_one_step_is_a_config_error(self, tmp_path, capsys):
+        rc = _run_main(["analyze", "--steps", "1", "--window-high", "999", "--window-low", "0", "--out-dir", tmp_path])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: analyze needs --steps >= 2: the L1 curve compares consecutive steps\n"
+        assert not list(tmp_path.iterdir())  # refused before any sampling or output
+
+
+def _assert_unreadable_input(capsys, path):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}") and "Is a directory" in lines[0]
+
 
 class TestFit:
     def test_invalid_degree_rejected_with_usage(self, analyze_dir, tmp_path, capsys):
@@ -80,6 +91,10 @@ class TestFit:
     def test_missing_curve_file(self, tmp_path):
         rc = _run_main(["fit", "--curve", tmp_path / "nope.csv", "--out-dir", tmp_path])
         assert rc == 1
+
+    def test_directory_as_curve_file(self, tmp_path, capsys):
+        assert _run_main(["fit", "--curve", tmp_path, "--out-dir", tmp_path / "out"]) == 1
+        _assert_unreadable_input(capsys, tmp_path)
 
     def test_synthetic_polynomial_curve_recovery(self, tmp_path):
         us = np.linspace(0.0, 1.0, 20)
@@ -169,6 +184,10 @@ class TestCompare:
         assert report["ssim"] == 1.0
         assert report["relative_l2"] == 0.0
         assert report["identical_files"] is True
+
+    def test_directory_as_latent(self, tmp_path, capsys):
+        assert _run_main(["compare", "--a", tmp_path, "--b", tmp_path]) == 1
+        _assert_unreadable_input(capsys, tmp_path)
 
     def test_baseline_vs_rho_one_short_circuit(self, baseline_run_dir, tmp_path, capsys):
         rc = _run_main(["run", "--mode", "sortblock", "--rho", "1.0", "--out-dir", tmp_path])

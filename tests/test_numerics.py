@@ -103,11 +103,6 @@ class TestRng:
         z = standard_normal(Rng(8), 1000, 100).astype(np.float64)
         assert 0.9 <= z.var() <= 1.1
 
-    def test_uniform_range(self):
-        r = Rng(5)
-        vals = [r.random() for _ in range(1000)]
-        assert all(0.0 <= v < 1.0 for v in vals)
-
 
 def _reference_fill_u64(rng: Rng, count: int) -> np.ndarray:
     """The one-draw-at-a-time fill_u64 that the lane version replaced."""
@@ -233,7 +228,7 @@ class TestFillU64:
         r, s = Rng(11), Rng(11)
         r.fill_u64(1000)
         _reference_fill_u64(s, 1000)
-        assert [r.random() for _ in range(5)] == [s.random() for _ in range(5)]
+        assert [r.next_u64() for _ in range(5)] == [s.next_u64() for _ in range(5)]
 
     def test_first_draws_pinned(self):
         r = Rng(0)

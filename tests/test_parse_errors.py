@@ -3,14 +3,19 @@ naming the path, through the library and through the CLI (exit 1, one
 ``error:`` line); config files and curve CSVs that are not UTF-8, and config
 files holding a value of the wrong type for its key, exit 1 too.
 A heavy trace with a missing or truncated tensor file, or a ``trace.json`` or
-``tensors.json`` that is not JSON, is truncated, or lacks a field or has one
-of the wrong type, raises ParseError naming that file."""
+``tensors.json`` header that is not JSON, is truncated, or lacks a field or
+has one of the wrong type, a header of another version (the array of the
+first format included), with a negative count, or whose counts disagree with
+``trace.json`` or the files, raises ParseError naming that file; so does any
+content at all written over either JSON file, if it does not load."""
 
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sortblock import (
     DitConfig,
@@ -119,6 +124,7 @@ BAD_BLOBS = {
     # empty, so the byte count matches, but past numpy's dimension or size limit
     "shape_dimension_past_int64": _blob_bytes({"shape": [0, 2**70], "dtype": "f32le"}, b""),
     "shape_size_past_int64": _blob_bytes({"shape": [0, 2**62, 2**62], "dtype": "f32le"}, b""),
+    "shape_65_dimensions": _blob_bytes({"shape": [4, 4] + [1] * 63, "dtype": "f32le"}),
     # a well-formed header and payload whose values are not all finite
     "payload_nan": _blob_bytes({"shape": [4, 4], "dtype": "f32le"}, np.full(16, np.nan, "<f4").tobytes()),
     "payload_inf": _blob_bytes({"shape": [4, 4], "dtype": "f32le"}, np.array([0.0] * 15 + [-np.inf], "<f4").tobytes()),
@@ -224,7 +230,14 @@ def test_load_trace_broken_tensor_file_raises_parse_error(tmp_path, heavy_trace,
         path.write_bytes(path.read_bytes() + b"\0\0\0\0")
     else:
         path.write_bytes(path.read_bytes()[: 100 if damage == "truncated" else 0])
-    with pytest.raises(ParseError, match="delta_s0001_b005.f32"):
+    with pytest.raises(ParseError, match="delta_s0001_b005.f32.*tensors.json"):
+        load_trace(tmp_path)
+
+
+def test_heavy_trace_without_header_raises_parse_error(tmp_path, heavy_trace):
+    save_trace(heavy_trace, tmp_path)
+    (tmp_path / "tensors.json").unlink()
+    with pytest.raises(ParseError, match="tensors.json: cannot read"):
         load_trace(tmp_path)
 
 
@@ -239,10 +252,6 @@ def _edit_json(edit):
 
 def _step0(edit):
     return _edit_json(lambda doc: edit(doc["steps"][0]))
-
-
-def _entry0(edit):
-    return _edit_json(lambda doc: edit(doc[0]))
 
 
 BAD_TRACE_JSON = {
@@ -263,26 +272,54 @@ BAD_TRACE_JSON = {
     "step_evals_bool": _step0(lambda step: step.update(evals=True)),
     "step_delta_l1_null": _step0(lambda step: step.update(delta_l1=None)),
     "step_scores_string": _step0(lambda step: step.update(scores="none")),
+    "light_with_deltas": _edit_json(lambda doc: doc.update(heavy=False)),
 }
 
+
+def _version_1(text):
+    """The first format's sidecar for the tensors a header lists: an array of
+    one entry per tensor."""
+    h = json.loads(text)
+    return json.dumps(
+        [{"file": f"delta_s{s:04d}_b{b:03d}.f32", "shape": h["shape"], "dtype": "f32le", "step": s, "block": b,
+          "kind": "delta"} for s in range(h["steps"]) for b in range(h["blocks"])]
+        + [{"file": f"output_s{s:04d}.f32", "shape": h["shape"], "dtype": "f32le", "step": s, "block": None,
+            "kind": "output"} for s in range(h["outputs"])]
+    )
+
+
+def _header(**changes):
+    return _edit_json(lambda doc: doc.update(changes))
+
+
 BAD_TENSORS_JSON = {
-    "not_json": lambda text: "[{file: x}]",
-    "truncated": lambda text: text[:200],
+    "not_json": lambda text: "{version: 2}",
+    "truncated": lambda text: text[:20],
+    "empty": lambda text: "",
     "object": lambda text: "{}",
-    "entry_not_object": _edit_json(lambda doc: doc.__setitem__(0, "delta_s0000_b000.f32")),
-    "no_shape": _entry0(lambda entry: entry.pop("shape")),
-    "shape_string": _entry0(lambda entry: entry.update(shape="64x64")),
-    "shape_negative": _entry0(lambda entry: entry.update(shape=[-64, -64])),
-    "shape_dimension_past_int64": _entry0(lambda entry: entry.update(shape=[0, 2**70])),
-    "shape_size_past_int64": _entry0(lambda entry: entry.update(shape=[0, 2**62, 2**62])),
-    "no_step": _entry0(lambda entry: entry.pop("step")),
-    "block_null": _entry0(lambda entry: entry.update(block=None)),
-    "unknown_kind": _entry0(lambda entry: entry.update(kind="noise")),
-    "file_outside_directory": _entry0(lambda entry: entry.update(file="../trace.json")),
-    "missing_entry": _edit_json(lambda doc: doc.pop(5)),
-    "step_negative": _edit_json(lambda doc: doc.append({**doc[0], "step": -1})),
-    "block_negative": _edit_json(lambda doc: doc.append({**doc[0], "block": -1})),
-    "duplicate_entry": _edit_json(lambda doc: doc.append(dict(doc[1]))),
+    "version_1_array": _version_1,
+    "no_version": _edit_json(lambda doc: doc.pop("version")),
+    "version_1": _header(version=1),
+    "version_3": _header(version=3),
+    "version_string": _header(version="2"),
+    "no_shape": _edit_json(lambda doc: doc.pop("shape")),
+    "shape_string": _header(shape="64x64"),
+    "shape_negative": _header(shape=[-64, -64]),
+    "shape_dimension_past_int64": _header(shape=[0, 2**70]),
+    "shape_size_past_int64": _header(shape=[0, 2**62, 2**62]),
+    "shape_65_dimensions": _header(shape=[64, 64] + [1] * 63),  # the files' byte count, past numpy's dimensions
+    "no_step": _edit_json(lambda doc: doc.pop("steps")),
+    "steps_float": _header(steps=3.0),
+    "step_negative": _header(steps=-1),
+    "block_negative": _header(blocks=-1),
+    "block_null": _header(blocks=None),
+    "outputs_bool": _header(outputs=True),
+    "outputs_negative": _header(outputs=-1),
+    "no_deltas_in_heavy_trace": _header(steps=0, blocks=0),
+    # more tensors than there are files
+    "steps_past_files": _header(steps=4),
+    "blocks_past_files": _header(blocks=13),
+    "outputs_past_files": _header(outputs=4),
 }
 
 
@@ -302,3 +339,50 @@ def test_saved_heavy_trace_loads(tmp_path, heavy_trace):
     loaded = load_trace(tmp_path)
     assert loaded.to_dict() == heavy_trace.to_dict()
     assert len(loaded.deltas) == 3 and len(loaded.outputs) == 3
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _near(doc):
+    """``doc``, a JSON object, with some fields dropped and some replaced by
+    small integers or arbitrary JSON values."""
+    keys = st.sampled_from(sorted(doc))
+    return st.builds(
+        lambda drop, new: {**{k: v for k, v in doc.items() if k not in drop}, **new},
+        st.sets(keys, max_size=1),
+        st.dictionaries(keys, st.integers(-2, 64) | _JSON, max_size=2),
+    )
+
+
+@pytest.mark.parametrize("name", ["trace.json", "tensors.json"])
+def test_load_trace_fuzzed_json_raises_only_parse_error(tmp_path_factory, heavy_trace, name):
+    """Arbitrary bytes, arbitrary JSON values and near-valid documents written
+    over one JSON file of a saved 3-step heavy trace: ``load_trace`` returns a
+    trace or raises ParseError naming that file, and raises nothing else."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    save_trace(heavy_trace, directory)
+    path = directory / name
+    good = path.read_bytes()
+    doc = json.loads(good)
+    near = _near(doc)
+    if name == "trace.json":
+        near |= _near(doc["steps"][0]).map(lambda step: {**doc, "steps": [step, *doc["steps"][1:]]})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64) | _JSON.map(json.dumps).map(str.encode) | near.map(json.dumps).map(str.encode))
+    def check(content):
+        path.write_bytes(content)
+        try:
+            load_trace(directory)
+        except ParseError as exc:
+            assert name in str(exc), exc
+
+    try:
+        check()
+    finally:
+        path.write_bytes(good)

@@ -12,6 +12,7 @@ from sortblock import (
     ConfigError,
     MissingDataError,
     ResourceError,
+    ShapeError,
     Rng,
     SamplerRun,
     SortblockConfig,
@@ -210,17 +211,15 @@ def _traces(draw):
 
 
 def _expected_tensors(trace):
-    """(sidecar entry, array) for every tensor ``save_trace`` writes, in order."""
-    out = []
-    if trace.heavy:
-        for s, per_block in enumerate(trace.deltas):
-            for b, arr in enumerate(per_block):
-                out.append(({"file": f"delta_s{s:04d}_b{b:03d}.f32", "shape": list(arr.shape),
-                             "dtype": "f32le", "step": s, "block": b, "kind": "delta"}, arr))
-    for s, arr in enumerate(trace.outputs or []):
-        out.append(({"file": f"output_s{s:04d}.f32", "shape": list(arr.shape), "dtype": "f32le",
-                     "step": s, "block": None, "kind": "output"}, arr))
-    return out
+    """(file name, array) for every tensor ``save_trace`` writes, in order,
+    and the ``tensors.json`` header that describes them."""
+    deltas = trace.deltas if trace.heavy else []
+    out = [(f"delta_s{s:04d}_b{b:03d}.f32", arr)
+           for s, per_block in enumerate(deltas) for b, arr in enumerate(per_block)]
+    out += [(f"output_s{s:04d}.f32", arr) for s, arr in enumerate(trace.outputs or [])]
+    header = {"version": 2, "shape": list(out[0][1].shape) if out else [], "steps": len(deltas),
+              "blocks": len(deltas[0]) if deltas else 0, "outputs": len(trace.outputs or [])}
+    return out, header
 
 
 class TestTraceSerialization:
@@ -256,25 +255,26 @@ class TestTraceSerialization:
     def test_generated_round_trip(self, trace):
         """Generated traces, heavy or light, with or without outputs, with
         tensors of any layout or float dtype: the tensor files hold the
-        arrays' little-endian float32 bytes, the JSON files parse to the
-        documents ``asdict`` made, and the loaded trace equals the saved one."""
+        arrays' little-endian float32 bytes, ``trace.json`` parses to the
+        document ``asdict`` made and ``tensors.json`` to the one-object
+        header, and the loaded trace equals the saved one."""
         with tempfile.TemporaryDirectory() as tmp:
             save_trace(trace, tmp)
-            tensors = _expected_tensors(trace)
+            tensors, header = _expected_tensors(trace)
             assert sorted(os.listdir(tmp)) == sorted(
-                ["trace.json"] + (["tensors.json"] if tensors else []) + [e["file"] for e, _ in tensors]
+                ["trace.json"] + (["tensors.json"] if tensors else []) + [name for name, _ in tensors]
             )
-            for entry, arr in tensors:
-                with open(os.path.join(tmp, entry["file"]), "rb") as f:
+            for name, arr in tensors:
+                with open(os.path.join(tmp, name), "rb") as f:
                     assert f.read() == arr.astype("<f4").tobytes()
             doc = {"steps": [asdict(r) for r in trace.steps], "total_evals": trace.total_evals,
                    "wall_time_s": trace.wall_time_s, "config": trace.config, "heavy": trace.heavy}
             assert trace.to_dict() == doc
             with open(os.path.join(tmp, "trace.json")) as f:
-                assert json.load(f) == {**doc, "stored_outputs": trace.outputs is not None}
+                assert json.load(f) == doc
             if tensors:
                 with open(os.path.join(tmp, "tensors.json")) as f:
-                    assert json.load(f) == [e for e, _ in tensors]
+                    assert json.load(f) == header
             loaded = load_trace(tmp)
         assert loaded.to_dict() == doc
         assert (loaded.outputs is None) == (trace.outputs is None)
@@ -293,6 +293,11 @@ class TestTraceSerialization:
                 if step[key] is not None:
                     step[key].append(7)
         assert trace.to_dict() == doc
+
+    def test_tensors_of_two_shapes_are_refused(self, tmp_path):
+        trace = _delta_trace([[np.zeros((2, 3))], [np.zeros((3, 2))]])
+        with pytest.raises(ShapeError):
+            save_trace(trace, tmp_path)
 
     def test_ranked_flag_schedule_extraction(self, default_net, default_sched, default_run_factory, default_window):
         cfg = SortblockConfig(refresh_interval=5, rho=0.3, window=default_window)
