@@ -5,6 +5,11 @@ run (baseline or cached generation), compare (blob metrics), sweep (ablation
 axes to CSV).  A JSON config file can seed every option; explicit CLI flags
 override their JSON counterparts, which override the built-in defaults.
 
+Each run option is one ``ExperimentConfig`` field; its flag, type, ``--help``
+default, config-file key and sweep-axis parser derive from the field, and
+argparse and ``validate`` read one ``CHOICES``, so config files and flags are
+checked alike.
+
 Exit codes: 0 success, 1 validation error (bad flags, bad config, malformed
 input files), 2 runtime error.
 """
@@ -29,7 +34,7 @@ import numpy as np
 from . import blob
 from .diffusion import NoiseSchedule, make_run, make_schedule, uniform_step_list
 from .dit import DitConfig, init_network
-from .engine import PolicySequence, SortblockConfig, inner_window, run_sortblock
+from .engine import PREDICT_MODES, RATIO_MODES, PolicySequence, SortblockConfig, inner_window, run_sortblock
 from .errors import ConfigError, NonFiniteError, ParseError, SortblockError, checked, read_bytes, read_json, schema
 from .metrics import latent_pair_to_images, psnr, relative_l2, ssim
 from .ratio import (DEFAULT_DEGREE, FIT_DEGREES, fit_ratio_policy, fit_residual, load_policy, measure_l1_curve,
@@ -59,22 +64,23 @@ class ExperimentConfig:
     seed: int = 0
     seeds: list[int] = field(default_factory=lambda: [0])
     # caching
-    mode: str = "sortblock"  # baseline | sortblock
+    mode: str = "sortblock"
     refresh_interval: int = 5
     rho: float = 0.3
-    beta: Optional[float] = None  # None: 1.0 in fixed mode, the policy's beta in adaptive
-    ratio: str = "fixed"  # fixed | adaptive
-    predict: str = "linear"  # linear | copy
-    window_high: Optional[int] = None  # None: inner-80% of the step list
-    window_low: Optional[int] = None
+    beta: Optional[float] = field(default=None, metadata={"unset": "1.0 fixed, the policy's own adaptive"})
+    ratio: str = "fixed"
+    predict: str = "linear"
+    window_high: Optional[int] = field(default=None, metadata={"unset": "inner 80% of steps"})
+    window_low: Optional[int] = field(default=None, metadata={"unset": "inner 80% of steps"})
     policy_file: Optional[str] = None
     # io
     heavy_trace: bool = False
     out_dir: str = "out"
 
     def validate(self) -> None:
-        if self.mode not in ("baseline", "sortblock"):
-            raise ConfigError(f"mode must be baseline|sortblock, got {self.mode!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be {'|'.join(allowed)}, got {getattr(self, name)!r}")
         if self.ratio == "adaptive" and not self.policy_file:
             raise ConfigError("adaptive ratio mode needs --policy-file")
         if self.beta is not None and not (0.0 <= self.beta <= 1.0):
@@ -137,23 +143,29 @@ class ExperimentConfig:
         """Hash of the generation problem (model, schedule, sampler, seed) --
         deliberately excludes acceleration knobs, so an exact accelerated run
         produces a byte-identical blob."""
-        ident = {
-            "blocks": self.blocks,
-            "tokens": self.tokens,
-            "channels": self.channels,
-            "mlp_ratio": self.mlp_ratio,
-            "model_seed": self.model_seed,
-            "total_timesteps": self.total_timesteps,
-            "beta_start": self.beta_start,
-            "beta_end": self.beta_end,
-            "steps": self.steps,
-            "seed": self.seed,
-        }
+        ident = {name: getattr(self, name) for name in PROBLEM_FIELDS}
         digest = hashlib.sha256(json.dumps(ident, sort_keys=True).encode()).hexdigest()
         return digest[:16]
 
 
-_CONFIG_FIELDS = schema(typing.get_type_hints(ExperimentConfig))
+# the fields that define the generation problem, which problem_hash reads
+PROBLEM_FIELDS = ("blocks", "tokens", "channels", "mlp_ratio", "model_seed", "total_timesteps", "beta_start",
+                  "beta_end", "steps", "seed")
+# field -> the values it may take; argparse's choices and validate() read it
+CHOICES = {"mode": ("baseline", "sortblock"), "ratio": RATIO_MODES, "predict": PREDICT_MODES}
+_HINTS = typing.get_type_hints(ExperimentConfig)
+_CONFIG_FIELDS = schema(_HINTS)
+
+
+def _value_parser(name: str):
+    """Field ``name``'s parser of one flag value: T for T or Optional[T], comma-separated T for list[T]."""
+    hint = _HINTS[name]
+    if typing.get_origin(hint) is typing.Union:
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return lambda text: [item(v) for v in text.split(",")]
+    return hint
 
 
 def load_config_file(path) -> dict:
@@ -192,11 +204,12 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    blob.write_atomic(path, (text.getvalue().encode("utf-8"),))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -324,7 +337,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         "wall_time_s": trace.wall_time_s,
         "problem_hash": cfg.problem_hash(),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=1))
+    blob.write_atomic(out / "summary.json", (json.dumps(summary, indent=1).encode("utf-8"),))
     print(
         f"evals={summary['block_evals']} baseline={baseline_evals} "
         f"speedup={baseline_evals}/{summary['block_evals']}={summary['speedup']:.4f} "
@@ -356,13 +369,13 @@ def cmd_compare(path_a: str, path_b: str, selected: Sequence[str], out_path: Opt
     text = json.dumps(report, indent=1)
     print(text)
     if out_path:
-        Path(out_path).write_text(text)
+        blob.write_atomic(out_path, (text.encode("utf-8"),))
     return 0
 
 
-# sweep axis -> (the ExperimentConfig field it sets, the parser of one value);
-# the window axis sets window_high and window_low
-SCALAR_AXES = {"K": ("refresh_interval", int), "beta": ("beta", float)}
+# sweep axis -> the ExperimentConfig field it sets, whose type parses each
+# value; the window axis sets window_high and window_low
+SCALAR_AXES = {"K": "refresh_interval", "beta": "beta"}
 
 
 def _parse_axis_values(axis: str, raw: str, step_list: Sequence[int]) -> list[tuple[object, dict]]:
@@ -375,7 +388,7 @@ def _parse_axis_values(axis: str, raw: str, step_list: Sequence[int]) -> list[tu
     stages = {"early-only": step_list[:split], "late-only": step_list[split:]}
     try:
         if axis in SCALAR_AXES:
-            name, parse = SCALAR_AXES[axis]
+            name, parse = SCALAR_AXES[axis], _value_parser(SCALAR_AXES[axis])
             return [(parse(tok), {name: parse(tok)}) for tok in tokens]
         values = []
         for tok in tokens:
@@ -463,32 +476,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory (default: out)")
-    parser.add_argument("--steps", type=int, help="sampler steps (default 50)")
-    parser.add_argument("--blocks", type=int, help="transformer blocks (default 12)")
-    parser.add_argument("--tokens", type=int, help="token count (default 64)")
-    parser.add_argument("--channels", type=int, help="feature channels (default 64)")
-    parser.add_argument("--mlp-ratio", dest="mlp_ratio", type=int)
-    parser.add_argument("--model-seed", dest="model_seed", type=int)
-    parser.add_argument("--total-timesteps", dest="total_timesteps", type=int)
-    parser.add_argument("--beta-start", dest="beta_start", type=float)
-    parser.add_argument("--beta-end", dest="beta_end", type=float)
-    parser.add_argument("--seed", type=int, help="sampling seed (default 0)")
-    parser.add_argument(
-        "--seeds", type=lambda s: [int(v) for v in s.split(",")],
-        help="comma-separated seed list for sweeps",
-    )
-    parser.add_argument("--mode", choices=["baseline", "sortblock"])
-    parser.add_argument("--refresh-interval", dest="refresh_interval", type=int,
-                        help="policy refresh interval K (default 5)")
-    parser.add_argument("--rho", type=float, help="fixed recompute ratio (default 0.3)")
-    parser.add_argument("--beta", type=float, help="global ratio scale (default 1.0)")
-    parser.add_argument("--ratio", choices=["fixed", "adaptive"])
-    parser.add_argument("--predict", choices=["linear", "copy"])
-    parser.add_argument("--window-high", dest="window_high", type=int)
-    parser.add_argument("--window-low", dest="window_low", type=int)
-    parser.add_argument("--policy-file", dest="policy_file")
-    parser.add_argument("--heavy-trace", dest="heavy_trace", action="store_true", default=None)
+    for f in dataclasses.fields(ExperimentConfig):
+        shown = f.metadata.get("unset", f.default_factory() if f.default is dataclasses.MISSING else f.default)
+        parse = _value_parser(f.name)
+        kind = {"action": "store_true"} if parse is bool else {"type": parse, "choices": CHOICES.get(f.name)}
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
+                            help=f"default: {shown}".replace("%", "%%"), **kind)
 
 
 def make_parser() -> _Parser:

@@ -160,6 +160,10 @@ def select_blocks(scores: Sequence[float], rho: float) -> PolicySequence:
     return PolicySequence(flags=flags, scores=scores)
 
 
+RATIO_MODES = ("fixed", "adaptive")
+PREDICT_MODES = ("linear", "copy")
+
+
 @dataclass(frozen=True)
 class SortblockConfig:
     """Caching hyperparameters.
@@ -170,20 +174,20 @@ class SortblockConfig:
     """
 
     refresh_interval: int = 5
-    ratio_mode: str = "fixed"  # fixed | adaptive
+    ratio_mode: str = "fixed"  # one of RATIO_MODES
     rho: float = 0.3
     ratio_policy: Optional[RatioPolicy] = None
     beta: float = 1.0
     window: tuple[int, int] = (900, 100)
-    predict_mode: str = "linear"  # linear | copy
+    predict_mode: str = "linear"  # one of PREDICT_MODES
 
     def __post_init__(self):
         if self.refresh_interval < 2:
             raise ConfigError("refresh_interval K must be >= 2")
-        if self.ratio_mode not in ("fixed", "adaptive"):
-            raise ConfigError("ratio_mode must be 'fixed' or 'adaptive'")
-        if self.predict_mode not in ("linear", "copy"):
-            raise ConfigError("predict_mode must be 'linear' or 'copy'")
+        if self.ratio_mode not in RATIO_MODES:
+            raise ConfigError(f"ratio_mode must be one of {RATIO_MODES}, got {self.ratio_mode!r}")
+        if self.predict_mode not in PREDICT_MODES:
+            raise ConfigError(f"predict_mode must be one of {PREDICT_MODES}, got {self.predict_mode!r}")
         if not (0.0 <= self.rho <= 1.0):
             raise ConfigError("rho must lie in [0, 1]")
         if not (0.0 <= self.beta <= 1.0):

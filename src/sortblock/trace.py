@@ -17,7 +17,8 @@ Serialization: scalar records go to one compact JSON document,
 raw little-endian float32 files named by ``_tensor_file``.  They share one
 shape, so ``tensors.json`` is a one-object header: {version, shape, steps,
 blocks, outputs}, a steps x blocks grid of deltas (present exactly when the
-trace is heavy) and an output for each of the first ``outputs`` steps.
+trace is heavy) and an output for each of the first ``outputs`` steps.  The
+two JSON files are written atomically; the tensor files are not.
 """
 
 from __future__ import annotations
@@ -201,13 +202,14 @@ def save_trace(trace: RunTrace, directory) -> None:
                 data = data[os.write(fd, data):]
         finally:
             os.close(fd)
+    from .blob import write_atomic  # imported on use: ``import sortblock`` does not load blob
     doc = trace.to_dict()
     steps = ",\n".join(map(_dumps, doc.pop("steps")))  # one per line, then the other fields
-    (directory / "trace.json").write_text('{"steps":[\n' + steps + "\n]," + _dumps(doc)[1:])
+    write_atomic(directory / "trace.json", (('{"steps":[\n' + steps + "\n]," + _dumps(doc)[1:]).encode(),))
     if files:
-        (directory / "tensors.json").write_text(_dumps({"version": TENSORS_VERSION, "shape": list(shape),
-                                                        "steps": len(deltas), "blocks": blocks,
-                                                        "outputs": len(outputs)}))
+        header = {"version": TENSORS_VERSION, "shape": list(shape), "steps": len(deltas), "blocks": blocks,
+                  "outputs": len(outputs)}
+        write_atomic(directory / "tensors.json", (_dumps(header).encode(),))
 
 
 TENSORS_VERSION = 2  # 1 was an array of one entry per tensor

@@ -1,13 +1,17 @@
+import argparse
 import dataclasses
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sortblock import blob
+from sortblock import blob, cli
 from sortblock.cli import (
+    PROBLEM_FIELDS,
     ExperimentConfig,
     build_config,
     main,
@@ -171,6 +175,72 @@ class TestRun:
         doc = json.loads((baseline_run_dir / "trace" / "trace.json").read_text())
         assert doc["total_evals"] == 600
         assert len(doc["steps"]) == 50
+
+
+DEFAULT_PROBLEM_HASH = "a6dee97077a18531"
+# a non-default value for every field that is not part of the generation problem
+ACCELERATION_CHANGES = {
+    "mode": "baseline", "refresh_interval": 3, "rho": 0.5, "beta": 0.5, "ratio": "adaptive", "predict": "copy",
+    "window_high": 800, "window_low": 200, "policy_file": "p.json", "heavy_trace": True, "out_dir": "elsewhere",
+    "seeds": [1, 2],
+}
+
+
+class TestProblemHash:
+    def test_defaults_are_pinned(self):
+        assert ExperimentConfig().problem_hash() == DEFAULT_PROBLEM_HASH
+
+    def test_every_field_is_problem_or_acceleration(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(PROBLEM_FIELDS) | set(ACCELERATION_CHANGES) == names
+        assert not set(PROBLEM_FIELDS) & set(ACCELERATION_CHANGES)
+
+    @pytest.mark.parametrize("name", sorted(ACCELERATION_CHANGES))
+    def test_acceleration_field_leaves_hash(self, name):
+        cfg = dataclasses.replace(ExperimentConfig(), **{name: ACCELERATION_CHANGES[name]})
+        assert cfg.problem_hash() == DEFAULT_PROBLEM_HASH
+
+    @pytest.mark.parametrize("name", PROBLEM_FIELDS)
+    def test_problem_field_changes_hash(self, name):
+        cfg = ExperimentConfig()
+        changed = dataclasses.replace(cfg, **{name: getattr(cfg, name) + 1})
+        assert changed.problem_hash() != DEFAULT_PROBLEM_HASH
+
+    def test_latent_header_carries_the_hash(self, baseline_run_dir):
+        _, header = blob.read_latent(baseline_run_dir / "latent.bin")
+        summary = json.loads((baseline_run_dir / "summary.json").read_text())
+        assert header["config_hash"] == summary["problem_hash"] == DEFAULT_PROBLEM_HASH
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("stubbed", [("write_latent",), ("write_latent", "save_trace")],
+                             ids=["trace.json", "summary.json"])
+    def test_failed_run_keeps_earlier_files(self, tmp_path, monkeypatch, write_failing_part_way, stubbed):
+        """With the latent write (and the trace save) stubbed out, the first
+        write of a second run is trace.json (or summary.json); it fails part
+        way, and every file of the first run is as it was."""
+        argv = ["run", "--mode", "baseline", "--steps", 4, "--blocks", 2, "--out-dir", tmp_path]
+        assert _run_main(argv) == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert {p.name for p in before} == {"latent.bin", "trace.json", "summary.json"}
+        with monkeypatch.context() as m:
+            m.setattr(blob, "write_latent", lambda *args: None)
+            if "save_trace" in stubbed:
+                m.setattr(cli, "save_trace", lambda *args: None)
+            m.setattr(os, "write", write_failing_part_way)
+            assert _run_main(argv) == 2  # an OSError is a runtime error
+        after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert after == before  # no temporary left, nothing torn
+
+    def test_failed_csv_write_keeps_old_file(self, tmp_path, monkeypatch, write_failing_part_way):
+        path = tmp_path / "x.csv"
+        write_csv(path, ["i"], [(1,)])
+        with monkeypatch.context() as m:
+            m.setattr(os, "write", write_failing_part_way)
+            with pytest.raises(OSError, match="No space left"):
+                write_csv(path, ["i"], [(2,), (3,)])
+        assert path.read_bytes() == b"i\r\n1\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
 
 class TestCompare:
@@ -347,6 +417,22 @@ class TestConfigMerging:
         missing = [f.name for f in dataclasses.fields(ExperimentConfig) if not hasattr(namespace, f.name)]
         assert missing == []
 
+    @pytest.mark.parametrize("doc", [{"ratio": "nope"}, {"predict": "bogus"}], ids=["ratio", "predict"])
+    @pytest.mark.parametrize("command", [["analyze"], ["run", "--mode", "baseline"], ["fit", "--curve"]],
+                             ids=["analyze", "run", "fit"])
+    def test_config_file_choice_is_checked_like_its_flag(self, analyze_dir, tmp_path, capsys, command, doc):
+        """A value outside a field's choices exits 1 with one error line
+        naming the field, whether or not the command uses the field."""
+        if command[0] == "fit":
+            command = [*command, analyze_dir / "l1_curve.csv"]
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(doc))
+        assert _run_main([*command, "--config", cfg_file, "--out-dir", tmp_path / "out"]) == 1
+        (name,) = doc
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {name} must be "), lines
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"stepz": 20}))
@@ -363,6 +449,18 @@ class TestConfigMerging:
         assert "unknown config keys ['metrics']" in capsys.readouterr().err
         assert _run_main([*command, "--metrics", "psnr", "--out-dir", tmp_path]) == 1
         assert "unrecognized arguments: --metrics psnr" in capsys.readouterr().err
+
+    def test_readme_flag_table_lists_every_run_flag(self):
+        """README's "Key flags and defaults" table names each run flag once
+        in its first column (``--config`` and ``--help`` aside)."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Key flags and defaults\n", 1)[1].lstrip("\n")
+        rows = section[: section.index("\n\n")].splitlines()[2:]  # below the header and the rule
+        table = [flag for row in rows for flag in re.findall(r"--[a-z][a-z-]*", row.split("|")[1])]
+        assert len(table) == len(set(table))
+        sub = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {s for a in sub.choices["run"]._actions for s in a.option_strings} - {"-h", "--help", "--config"}
+        assert set(table) == flags
 
     def test_unknown_flag_exit_code(self):
         assert _run_main(["run", "--no-such-flag"]) == 1
