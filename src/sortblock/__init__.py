@@ -19,7 +19,6 @@ from .diffusion import (
 )
 from .dit import BlockWeights, DitConfig, Network, init_network, network_forward, timestep_embedding
 from .engine import (
-    BlockCacheEntry,
     PolicySequence,
     SortblockConfig,
     SortblockEngine,

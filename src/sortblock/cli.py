@@ -8,7 +8,10 @@ override their JSON counterparts, which override the built-in defaults.
 Each run option is one ``ExperimentConfig`` field; its flag, type, ``--help``
 default, config-file key and sweep-axis parser derive from the field, and
 argparse and ``validate`` read one ``CHOICES``, so config files and flags are
-checked alike.
+checked alike.  ``validate`` builds the run's ``SortblockConfig`` for every
+command (without reading the policy file), so the engine alone checks the
+caching options' ranges, whichever command is given them; their defaults
+are the engine's declarations too.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad config, malformed
 input files), 2 runtime error.
@@ -41,7 +44,6 @@ from .ratio import (DEFAULT_DEGREE, FIT_DEGREES, fit_ratio_policy, fit_residual,
                     save_policy)
 from .trace import oracle_similarities, ranking_fidelity, record_baseline, save_trace
 
-DEFAULT_WINDOW_FRACTION = 0.8
 # compare's --metrics names -> the report fields they select
 KNOWN_METRICS = {"psnr": "psnr_db", "ssim": "ssim", "rel_l2": "relative_l2"}
 
@@ -65,11 +67,11 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: [0])
     # caching
     mode: str = "sortblock"
-    refresh_interval: int = 5
-    rho: float = 0.3
+    refresh_interval: int = SortblockConfig.refresh_interval
+    rho: float = SortblockConfig.rho
     beta: Optional[float] = field(default=None, metadata={"unset": "1.0 fixed, the policy's own adaptive"})
-    ratio: str = "fixed"
-    predict: str = "linear"
+    ratio: str = SortblockConfig.ratio_mode
+    predict: str = SortblockConfig.predict_mode
     window_high: Optional[int] = field(default=None, metadata={"unset": "inner 80% of steps"})
     window_low: Optional[int] = field(default=None, metadata={"unset": "inner 80% of steps"})
     policy_file: Optional[str] = None
@@ -83,15 +85,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be {'|'.join(allowed)}, got {getattr(self, name)!r}")
         if self.ratio == "adaptive" and not self.policy_file:
             raise ConfigError("adaptive ratio mode needs --policy-file")
-        if self.beta is not None and not (0.0 <= self.beta <= 1.0):
-            raise ConfigError("beta must lie in [0, 1]")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        # constructor side effects double as validation
+        # constructor side effects double as validation; a fixed ratio checks
+        # the caching options without the policy file, which ``fit`` may not
+        # have written yet
         self.dit_config()
         self.schedule()
         self.step_list()
-        self.resolved_window()
+        dataclasses.replace(self, ratio="fixed").sortblock_config()
 
     def dit_config(self) -> DitConfig:
         return DitConfig(
@@ -108,17 +110,13 @@ class ExperimentConfig:
     def step_list(self) -> tuple[int, ...]:
         return uniform_step_list(self.total_timesteps, self.steps)
 
-    def resolved_window(self) -> tuple[int, int]:
+    def sortblock_config(self) -> SortblockConfig:
         if (self.window_high is None) != (self.window_low is None):
             raise ConfigError("give both --window-high and --window-low, or neither")
-        if self.window_high is not None:
+        if self.window_high is None:
+            window = inner_window(self.step_list())
+        else:
             window = (int(self.window_high), int(self.window_low))
-            if not window[0] > window[1] >= 0:
-                raise ConfigError("window must satisfy t_high > t_low >= 0")
-            return window
-        return inner_window(self.step_list(), DEFAULT_WINDOW_FRACTION)
-
-    def sortblock_config(self) -> SortblockConfig:
         policy = None
         beta = self.beta
         if self.ratio == "adaptive":
@@ -128,14 +126,14 @@ class ExperimentConfig:
             elif beta != policy.beta:
                 policy = dataclasses.replace(policy, beta=beta)
         elif beta is None:
-            beta = 1.0
+            beta = SortblockConfig.beta
         return SortblockConfig(
             refresh_interval=self.refresh_interval,
             ratio_mode=self.ratio,
             rho=self.rho,
             ratio_policy=policy,
             beta=beta,
-            window=self.resolved_window(),
+            window=window,
             predict_mode=self.predict,
         )
 
@@ -532,7 +530,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "analyze":
             return cmd_analyze(cfg)
         if args.command == "fit":
-            return cmd_fit(cfg, args.curve, args.degree, 1.0 if cfg.beta is None else cfg.beta)
+            return cmd_fit(cfg, args.curve, args.degree, SortblockConfig.beta if cfg.beta is None else cfg.beta)
         if args.command == "run":
             return cmd_run(cfg)
         return cmd_sweep(cfg, args.axis, args.values)

@@ -98,20 +98,10 @@ def _cosine(dot: float, na: float, nb: float) -> float:
     return c if -1.0 <= c <= 1.0 else (math.copysign(1.0, c) if c == c else c)
 
 
-@dataclass
-class BlockCacheEntry:
-    """One block's view of the cache: its outputs at the last two
-    compute-everything steps and the step interval between them (the slope
-    basis).  The engine holds all blocks' values stacked; this is the
-    argument of the one-block reference formula ``linear_predict``."""
-
-    value: Matrix
-    prev_value: Optional[Matrix]
-    interval: int  # steps between the two stored computations; 0 until both exist
-
-
-def linear_predict(entry: BlockCacheEntry, k: int) -> Matrix:
-    """First-order extrapolation k steps beyond the newest cached value:
+def linear_predict(entry, k: int) -> Matrix:
+    """First-order extrapolation k steps beyond ``entry.value``, of one
+    block's outputs at the last two anchors (``value``, ``prev_value``) and
+    the steps between them (``interval``):
     value + ((value - prev_value) / interval) * k.
 
     An entry holding a single computation degenerates to a plain copy
@@ -162,6 +152,8 @@ def select_blocks(scores: Sequence[float], rho: float) -> PolicySequence:
 
 RATIO_MODES = ("fixed", "adaptive")
 PREDICT_MODES = ("linear", "copy")
+# the phases of a step that computes every block and becomes the newest anchor
+ANCHOR_PHASES = ("full", "outside")
 
 
 @dataclass(frozen=True)
@@ -324,7 +316,7 @@ class SortblockEngine:
             if self.cfg is not None:
                 self.prev_values, self.preds = np.empty_like(self.values), np.empty_like(self.values)
                 self._anchor_input, self._ref = np.empty_like(self.values[0]), np.empty_like(self.values[0])
-        if self._record.phase in ("full", "outside"):
+        if self._record.phase in ANCHOR_PHASES:
             if self.cfg is not None:
                 self.values, self.prev_values = self.prev_values, self.values
                 np.copyto(self._anchor_input, z)  # a caller may reuse z's array
@@ -489,5 +481,5 @@ def expected_eval_count(
     counter: Optional[int] = None
     for t in step_list:
         label, counter = step_phase(t, window, refresh_interval, counter)
-        total += num_blocks if label in ("outside", "full") else quota
+        total += num_blocks if label in ANCHOR_PHASES else quota
     return total

@@ -13,12 +13,15 @@ consume.  Heavy mode is guarded by a memory preflight so oversized configs
 fail loudly instead of thrashing.
 
 Serialization: scalar records go to one compact JSON document,
-``trace.json``, one step record per line.  Heavy tensors go next to it as
-raw little-endian float32 files named by ``_tensor_file``.  They share one
+``trace.json``, one step record per line.  Tensors go next to it as raw
+little-endian float32 files named by ``_tensor_file``.  They share one
 shape, so ``tensors.json`` is a one-object header: {version, shape, steps,
 blocks, outputs}, a steps x blocks grid of deltas (present exactly when the
-trace is heavy) and an output for each of the first ``outputs`` steps.  The
-two JSON files are written atomically; the tensor files are not.
+trace is heavy) and an output for each of the first ``outputs`` steps.
+Every saved trace has the header; a trace without tensors gets shape [] and
+all counts 0.  So a save over an earlier one always replaces its header, and
+the tensor files it leaves behind stay unread.  The two JSON files are
+written atomically; the tensor files are not.
 """
 
 from __future__ import annotations
@@ -206,10 +209,9 @@ def save_trace(trace: RunTrace, directory) -> None:
     doc = trace.to_dict()
     steps = ",\n".join(map(_dumps, doc.pop("steps")))  # one per line, then the other fields
     write_atomic(directory / "trace.json", (('{"steps":[\n' + steps + "\n]," + _dumps(doc)[1:]).encode(),))
-    if files:
-        header = {"version": TENSORS_VERSION, "shape": list(shape), "steps": len(deltas), "blocks": blocks,
-                  "outputs": len(outputs)}
-        write_atomic(directory / "tensors.json", (_dumps(header).encode(),))
+    header = {"version": TENSORS_VERSION, "shape": list(shape), "steps": len(deltas), "blocks": blocks,
+              "outputs": len(outputs)}
+    write_atomic(directory / "tensors.json", (_dumps(header).encode(),))
 
 
 TENSORS_VERSION = 2  # 1 was an array of one entry per tensor
@@ -226,10 +228,12 @@ _dumps = json.JSONEncoder(separators=(",", ":")).encode  # compact, C-encoded (n
 
 def load_trace(directory) -> RunTrace:
     """Read a trace written by ``save_trace``.  ParseError names the file at
-    fault: a ``trace.json`` or ``tensors.json`` that is not JSON, or lacks a
-    field or has one of the wrong type; a header of another version, with a
-    negative count, or with deltas where ``trace.json`` says light (or none
-    where it says heavy); a missing, unreadable or wrongly sized tensor file."""
+    fault: a ``trace.json`` or ``tensors.json`` that is missing, is not JSON,
+    or lacks a field or has one of the wrong type; a header of another
+    version, with a negative count, or with deltas where ``trace.json`` says
+    light (or none where it says heavy); a missing, unreadable or wrongly
+    sized tensor file.  A light trace of the format before every trace had
+    a header is refused for its missing ``tensors.json``."""
     directory = Path(directory)
     path = directory / "trace.json"
     doc = checked(path, read_json(path), _TRACE_FIELDS)
@@ -241,8 +245,6 @@ def load_trace(directory) -> RunTrace:
         heavy=doc["heavy"],
     )
     sidecar = directory / "tensors.json"
-    if not (trace.heavy or sidecar.exists()):  # a heavy trace must have one
-        return trace
     header = checked(sidecar, read_json(sidecar), {"version": _HEADER_FIELDS["version"]})
     if header["version"] != TENSORS_VERSION:
         raise ParseError(f"{sidecar}: version {header['version']}, expected {TENSORS_VERSION}")

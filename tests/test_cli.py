@@ -222,7 +222,7 @@ class TestAtomicWrites:
         argv = ["run", "--mode", "baseline", "--steps", 4, "--blocks", 2, "--out-dir", tmp_path]
         assert _run_main(argv) == 0
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        assert {p.name for p in before} == {"latent.bin", "trace.json", "summary.json"}
+        assert {p.name for p in before} == {"latent.bin", "trace.json", "tensors.json", "summary.json"}
         with monkeypatch.context() as m:
             m.setattr(blob, "write_latent", lambda *args: None)
             if "save_trace" in stubbed:
@@ -431,6 +431,30 @@ class TestConfigMerging:
         (name,) = doc
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {name} must be "), lines
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("values", [{"rho": 7}, {"refresh_interval": 1}, {"beta": 2},
+                                        {"window_high": 100, "window_low": 900}],
+                             ids=["rho", "refresh_interval", "beta", "window"])
+    @pytest.mark.parametrize("command", [["analyze"], ["run", "--mode", "baseline"], ["fit", "--curve"]],
+                             ids=["analyze", "run", "fit"])
+    def test_caching_option_out_of_range_exits_1(self, analyze_dir, tmp_path, capsys, command, values, source):
+        """SortblockConfig checks the caching options for every command, also
+        for those that never cache: a value out of its range exits 1 with one
+        error line naming the option, whether a flag or a config file sets it."""
+        if command[0] == "fit":
+            command = [*command, analyze_dir / "l1_curve.csv"]
+        if source == "flag":
+            command = [*command, *(a for name, v in values.items() for a in ("--" + name.replace("_", "-"), v))]
+        else:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps(values))
+            command = [*command, "--config", cfg_file]
+        assert _run_main([*command, "--out-dir", tmp_path / "out"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        rule = next(iter(values)).split("_")[0]  # window_high -> the window rule
+        assert len(lines) == 1 and lines[0].startswith(f"error: {rule}"), lines
         assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):

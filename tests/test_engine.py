@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from conftest import block_output
 from sortblock import (
-    BlockCacheEntry,
     ConfigError,
     DitConfig,
     Rng,
@@ -57,7 +57,7 @@ def _reference_scores(engine, z, full_step):
     want, x = [], z
     for i, (full_x, full_served) in enumerate(full_step):
         prev = engine.prev_values[i] if engine.interval else None
-        p = linear_predict(BlockCacheEntry(engine.values[i], prev, engine.interval), k)
+        p = linear_predict(_entry(engine.values[i], prev, engine.interval), k)
         want.append(cosine_similarity(p - x, full_served - full_x))
         x = p
     return want
@@ -120,30 +120,35 @@ class TestCosineSimilarity:
             assert _bits([cosine_similarity(a, b)]) == _bits([expected])
 
 
+def _entry(value, prev_value, interval):
+    """One block's view of the cache, the fields ``linear_predict`` reads."""
+    return SimpleNamespace(value=value, prev_value=prev_value, interval=interval)
+
+
 class TestLinearPredict:
     def test_zero_extrapolation_returns_value(self):
-        entry = BlockCacheEntry(_vec(5, 6), _vec(1, 2), 3)
+        entry = _entry(_vec(5, 6), _vec(1, 2), 3)
         assert np.array_equal(linear_predict(entry, 0), entry.value)
 
     def test_two_step_slope(self):
-        entry = BlockCacheEntry(_vec(2.0), _vec(0.0), 2)
+        entry = _entry(_vec(2.0), _vec(0.0), 2)
         assert np.array_equal(linear_predict(entry, 1), _vec(3.0))
 
     def test_exact_on_affine_trajectory(self):
         base = np.arange(6, dtype=np.float32).reshape(2, 3)
         slope = np.array([[1, -2, 3], [0, 4, -1]], dtype=np.float32)
         f = lambda s: base + np.float32(s) * slope
-        entry = BlockCacheEntry(f(10), f(5), 5)
+        entry = _entry(f(10), f(5), 5)
         for k in range(0, 7):
             assert np.array_equal(linear_predict(entry, k), f(10 + k))
 
     def test_single_computation_degenerates_to_copy(self):
-        entry = BlockCacheEntry(_vec(4, 4), None, 0)
+        entry = _entry(_vec(4, 4), None, 0)
         for k in (0, 1, 5):
             assert np.array_equal(linear_predict(entry, k), entry.value)
 
     def test_negative_k_rejected(self):
-        entry = BlockCacheEntry(_vec(1.0), _vec(0.0), 1)
+        entry = _entry(_vec(1.0), _vec(0.0), 1)
         with pytest.raises(ConfigError):
             linear_predict(entry, -1)
 

@@ -7,8 +7,14 @@ A heavy trace with a missing or truncated tensor file, or a ``trace.json`` or
 has one of the wrong type, a header of another version (the array of the
 first format included), with a negative count, or whose counts disagree with
 ``trace.json`` or the files, raises ParseError naming that file; so does any
-content at all written over either JSON file, if it does not load."""
+content at all written over either JSON file, if it does not load.  A light
+trace without its header is refused too.  Any content at all, arbitrary or
+near-valid, read as a latent blob, a ratio policy or a curve CSV gives a
+value or a ParseError naming the file."""
 
+import csv
+import dataclasses
+import io
 import json
 import struct
 
@@ -28,6 +34,7 @@ from sortblock import (
     make_schedule,
     record_baseline,
 )
+from sortblock import cli
 from sortblock.cli import main
 from sortblock.trace import load_trace, save_trace
 
@@ -241,6 +248,15 @@ def test_heavy_trace_without_header_raises_parse_error(tmp_path, heavy_trace):
         load_trace(tmp_path)
 
 
+def test_light_trace_without_header_raises_parse_error(tmp_path, heavy_trace):
+    """The light format from before every trace had a header is refused."""
+    light = dataclasses.replace(heavy_trace, heavy=False, deltas=None, outputs=None)
+    save_trace(light, tmp_path)
+    (tmp_path / "tensors.json").unlink()
+    with pytest.raises(ParseError, match="tensors.json: cannot read"):
+        load_trace(tmp_path)
+
+
 def _edit_json(edit):
     """A damage that rewrites the parsed document with ``edit`` (in place)."""
     def damage(text):
@@ -386,3 +402,56 @@ def test_load_trace_fuzzed_json_raises_only_parse_error(tmp_path_factory, heavy_
         check()
     finally:
         path.write_bytes(good)
+
+
+def _fuzz(path, content, read):
+    """Write ``content`` over ``path`` and read it back with ``read``: a
+    value, or a ParseError naming the file, and nothing else."""
+    path.write_bytes(content)
+    try:
+        read(path)
+    except ParseError as exc:
+        assert path.name in str(exc), exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_read_latent_fuzzed_raises_only_parse_error(tmp_path_factory, data):
+    """Arbitrary bytes, bytes after the magic, and blobs whose header is
+    arbitrary JSON or a near-valid header, with a payload of any few bytes or
+    of the four floats a [2, 2] shape needs."""
+    header = {"shape": [2, 2], "dtype": "f32le", "seed": 0, "config_hash": "h"}
+    payload = st.binary(max_size=24) | st.sampled_from([np.zeros(4, "<f4").tobytes(), np.ones(4, "<f4").tobytes()])
+    near = st.builds(_blob_bytes, (_JSON | _near(header)).map(json.dumps).map(str.encode), payload)
+    content = data.draw(st.binary(max_size=64) | st.binary(max_size=48).map(blob.MAGIC.__add__) | near)
+    _fuzz(tmp_path_factory.getbasetemp() / "latent.bin", content, blob.read_latent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_policy_fuzzed_raises_only_parse_error(tmp_path_factory, data):
+    """Arbitrary bytes, arbitrary JSON values and near-valid policies, among
+    them the good one with coefficient lists of any length and floats."""
+    coefficients = st.lists(st.floats() | st.integers(), max_size=7)
+    near = _near(GOOD_POLICY) | coefficients.map(lambda c: {**GOOD_POLICY, "coefficients": c})
+    content = data.draw(st.binary(max_size=64) | (_JSON | near).map(json.dumps).map(str.encode))
+    _fuzz(tmp_path_factory.getbasetemp() / "policy.json", content, load_policy)
+
+
+def _csv_bytes(rows):
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue().encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_curve_csv_fuzzed_raises_only_parse_error(tmp_path_factory, data):
+    """Arbitrary bytes, and CSVs under the ``step,l1`` header (or a near one)
+    whose rows hold any few numbers or short strings: the curve reader of
+    ``fit --curve`` returns its samples or raises ParseError naming the file."""
+    cell = st.floats() | st.integers() | st.text(max_size=6)
+    header = st.sampled_from([["step", "l1"], ["step", "l1", "x"], ["step"], [], ["l1", "step"]])
+    near = st.builds(lambda h, rows: _csv_bytes([h, *rows]), header, st.lists(st.lists(cell, max_size=3), max_size=4))
+    content = data.draw(st.binary(max_size=64) | near)
+    _fuzz(tmp_path_factory.getbasetemp() / "l1_curve.csv", content, cli._parse_curve_csv)

@@ -250,6 +250,28 @@ class TestTraceSerialization:
         for oa, ob in zip(loaded.outputs, trace.outputs):
             assert oa.tobytes() == ob.tobytes()
 
+    @pytest.mark.parametrize("first_heavy", [True, False], ids=["light_over_heavy", "heavy_over_light"])
+    def test_save_over_the_other_kind_loads_as_the_new_trace(self, tmp_path, default_net, default_sched,
+                                                             default_run_factory, first_heavy):
+        """A trace saved into a directory that holds a heavy (or light) one
+        loads back as the trace saved last; a heavy trace's tensor files
+        stay behind under a light one, unread."""
+        run = default_run_factory(3)
+        short = SamplerRun(step_list=run.step_list[:4], z_init=run.z_init, seed=3)
+        first, second = (record_baseline(default_net, short, default_sched, heavy=h)
+                         for h in (first_heavy, not first_heavy))
+        save_trace(first, tmp_path)
+        save_trace(second, tmp_path)
+        loaded = load_trace(tmp_path)
+        assert loaded.to_dict() == second.to_dict() and loaded.heavy is second.heavy
+        if second.heavy:
+            assert [[a.tobytes() for a in per] for per in loaded.deltas] == [
+                [a.tobytes() for a in per] for per in second.deltas]
+            assert [a.tobytes() for a in loaded.outputs] == [a.tobytes() for a in second.outputs]
+        else:
+            assert loaded.deltas is None and loaded.outputs is None
+            assert (tmp_path / "delta_s0003_b011.f32").exists()
+
     @settings(max_examples=60, deadline=None)
     @given(_traces())
     def test_generated_round_trip(self, trace):
@@ -261,9 +283,7 @@ class TestTraceSerialization:
         with tempfile.TemporaryDirectory() as tmp:
             save_trace(trace, tmp)
             tensors, header = _expected_tensors(trace)
-            assert sorted(os.listdir(tmp)) == sorted(
-                ["trace.json"] + (["tensors.json"] if tensors else []) + [name for name, _ in tensors]
-            )
+            assert sorted(os.listdir(tmp)) == sorted(["trace.json", "tensors.json"] + [name for name, _ in tensors])
             for name, arr in tensors:
                 with open(os.path.join(tmp, name), "rb") as f:
                     assert f.read() == arr.astype("<f4").tobytes()
@@ -272,9 +292,8 @@ class TestTraceSerialization:
             assert trace.to_dict() == doc
             with open(os.path.join(tmp, "trace.json")) as f:
                 assert json.load(f) == doc
-            if tensors:
-                with open(os.path.join(tmp, "tensors.json")) as f:
-                    assert json.load(f) == header
+            with open(os.path.join(tmp, "tensors.json")) as f:
+                assert json.load(f) == header
             loaded = load_trace(tmp)
         assert loaded.to_dict() == doc
         assert (loaded.outputs is None) == (trace.outputs is None)
