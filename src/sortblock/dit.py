@@ -207,8 +207,9 @@ class _BlockWorkspace:
     """Every intermediate of one block eval, allocated once per Network.
 
     float32: the conditioning row, ``x + c``, the normalized input of either
-    branch, q, k and v (the column blocks of one (n, 3d) product), the scores
-    (softmaxed in place, with a float32 row statistic and work), the
+    branch, q, k and v (the column blocks of one (n, 3d) product), ``kt``,
+    a contiguous copy of k transposed (d, n) that the score matmul reads, the
+    scores (softmaxed in place, with a float32 row statistic and work), the
     attention output, the residual after attention, the MLP activation (GELU
     in place) and GELU's work, and the two rows the hook-free forward
     alternates block outputs between.  float64: the layer norms' work, square
@@ -224,6 +225,7 @@ class _BlockWorkspace:
         self.hn = f32(n, d)
         self.qkv = f32(n, 3 * d)
         self.q, self.k, self.v = self.qkv[:, :d], self.qkv[:, d : 2 * d], self.qkv[:, 2 * d :]
+        self.kt = f32(d, n)
         self.rows = f32(2, n, d)
         self.scores, self.softmax_work = f32(n, n), f32(n, n)
         self.attn = f32(n, d)
@@ -289,7 +291,11 @@ class Network:
         ws.xc += x
         layer_norm_into(ws.xc, LN_EPS, ws.hn, ws.ln_work, ws.ln_square, ws.row_stat)
         np.matmul(ws.hn, w.wqkv, out=ws.qkv)
-        np.matmul(ws.q, ws.k.T, out=ws.scores)
+        # q @ k.T from a contiguous copy of k.T: the copy plus BLAS's NN sgemm
+        # cost less than its NT path on the strided view.  On OpenBLAS the two
+        # paths give the same bits, which the golden digests pin
+        ws.kt[...] = ws.k.T
+        np.matmul(ws.q, ws.kt, out=ws.scores)
         ws.scores *= self._score_scale
         with np.errstate(over="ignore"):  # the softmax difference, the GELU cube
             softmax_rows_into(ws.scores, ws.scores, ws.softmax_stat, ws.softmax_work)

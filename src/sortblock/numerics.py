@@ -24,7 +24,10 @@ both, per eval.  The single-argument forms, for standalone calls, allocate
 the buffers and enter the errstate themselves.  The rounding is that of the
 plain formula in each kernel's docstring, operation for operation; any
 reordering of the arithmetic changes latents, except that a float32 operand
-casts to float64 exactly and scaling by a power of two is exact.
+casts to float64 exactly, scaling by a power of two is exact, and a max is
+exact in any order: ``softmax_rows_into`` takes its row max along the fast
+axis of a transposed copy, which can flip only the sign of a zero maximum,
+and ``exp(x - (+-0))`` is the same either way.
 
 Layer norm's float64 buffers follow one more rule: nothing of 128 KiB or
 more is allocated or freed per block eval or per run.  128 KiB is glibc's
@@ -393,15 +396,27 @@ def softmax_rows(x: Matrix) -> Matrix:
 
 def softmax_rows_into(x: Matrix, out: Matrix, stat: np.ndarray, work: Matrix) -> None:
     """``softmax_rows`` written to ``out`` (float32, may be ``x``), with a
-    float32 row statistic ``stat`` of (rows, 1) and a float32 buffer
-    ``work`` of x's shape, over which the statistic is spread by assignment
-    (as in ``layer_norm_into``).
+    float32 row statistic ``stat`` of (rows, 1) and a C-contiguous float32
+    buffer ``work`` of x's shape, over which the statistic is spread by
+    assignment (as in ``layer_norm_into``).
+
+    The row max is taken over a transposed copy of x in ``work``, viewed as
+    (cols, rows), along axis 0: an elementwise max down contiguous rows,
+    which runs faster than a reduction along each row of x.  A max is
+    exact, so its order of evaluation leaves every bit of the output alone:
+    it can only pick the other sign of a zero maximum where a row ties 0.0
+    with -0.0, and ``x - (+-0)`` then differs only in the sign of a zero,
+    which exp maps to 1 either way.  A NaN anywhere in a row still gives a
+    NaN max.
 
     ``x - max`` overflows to -inf only where the float64 difference is below
     the float32 range, and exp of it is 0 either way, so the caller runs this
     under ``np.errstate(over="ignore")``.
     """
-    np.maximum.reduce(x, axis=1, keepdims=True, out=stat)
+    rows, cols = x.shape
+    xt = work.reshape(cols, rows)
+    xt[...] = x.T
+    np.maximum.reduce(xt, axis=0, keepdims=True, out=stat.T)
     work[...] = stat
     np.subtract(x, work, out=out)
     np.exp(out, out=out)

@@ -187,8 +187,14 @@ def ranking_fidelity(predicted, oracle_scores) -> float:
 
 
 def save_trace(trace: RunTrace, directory) -> None:
+    """Write ``trace`` to ``directory``: ``trace.json``, the ``tensors.json``
+    header and one file per tensor the header counts.  Over an earlier
+    trace, the tensor files its header named that the new one does not are
+    removed once the new header is in place, so a crash part-way leaves
+    stale files, never a header whose tensors are missing."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    stale = _header_files(directory / "tensors.json")
     deltas = trace.deltas if trace.heavy and trace.deltas else []
     outputs = trace.outputs or []
     files = {_tensor_file(s, b): a for s, per_block in enumerate(deltas) for b, a in enumerate(per_block)}
@@ -212,6 +218,23 @@ def save_trace(trace: RunTrace, directory) -> None:
     header = {"version": TENSORS_VERSION, "shape": list(shape), "steps": len(deltas), "blocks": blocks,
               "outputs": len(outputs)}
     write_atomic(directory / "tensors.json", (_dumps(header).encode(),))
+    for fname in stale - files.keys():
+        (directory / fname).unlink(missing_ok=True)
+
+
+def _header_files(sidecar: Path) -> set[str]:
+    """The tensor files the header ``sidecar`` names, or none if it is
+    missing, is not a header of this version, or names more files than its
+    directory holds (so a damaged count cannot stall the save)."""
+    try:
+        header = checked(sidecar, read_json(sidecar), _HEADER_FIELDS)
+    except ParseError:
+        return set()
+    steps, blocks, outputs = header["steps"], header["blocks"], header["outputs"]
+    if header["version"] != TENSORS_VERSION or steps * blocks + outputs > len(os.listdir(sidecar.parent)):
+        return set()
+    names = {_tensor_file(s, b) for s in range(steps) for b in range(blocks)}
+    return names.union(_tensor_file(s) for s in range(outputs))
 
 
 TENSORS_VERSION = 2  # 1 was an array of one entry per tensor

@@ -37,6 +37,7 @@ from sortblock import (
 )
 from conftest import block_output
 from sortblock.dit import LN_EPS
+from sortblock.numerics import softmax_rows_into
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -106,11 +107,13 @@ def assert_same_bits(got, want):
 
 
 @st.composite
-def float32_matrices(draw):
+def float32_matrices(draw, non_finite=False):
     """64x64 (attention scores, layer-norm inputs) or 64x256 (MLP activation)
     float32 matrices at a drawn magnitude, with drawn float32 values -- which
     hypothesis biases toward the extremes: 0, -0, subnormals, the largest
-    finite float32 -- written over some entries."""
+    finite float32 -- written over some entries.  With ``non_finite``, the
+    values written may also be NaN (of any sign and payload) or +-inf, and
+    some rows are all -inf or have a maximum that ties 0.0 with -0.0."""
     rows, cols = draw(st.sampled_from([(64, 64), (64, 256)]))
     seed = draw(st.integers(0, 2**32 - 1))
     exponent = draw(st.integers(-40, 37))
@@ -121,13 +124,20 @@ def float32_matrices(draw):
             st.tuples(
                 st.integers(0, rows - 1),
                 st.integers(0, cols - 1),
-                st.floats(width=32, allow_nan=False, allow_infinity=False),
+                st.floats(width=32, allow_nan=non_finite, allow_infinity=non_finite),
             ),
             max_size=16,
         )
     )
     for r, c, value in overrides:
         x[r, c] = value
+    if non_finite:
+        for r in draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+            x[r] = -np.inf
+        ties = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), st.integers(0, cols - 1))
+        for r, plus, minus in draw(st.lists(ties, max_size=3)):
+            x[r] = -np.abs(x[r])
+            x[r, plus], x[r, minus] = 0.0, -0.0
     return x
 
 
@@ -138,9 +148,16 @@ class TestKernelsMatchReference:
         assert_same_bits(layer_norm(x, LN_EPS), reference_layer_norm(x, LN_EPS))
 
     @settings(max_examples=150, deadline=None)
-    @given(float32_matrices())
+    @given(float32_matrices(non_finite=True))
     def test_softmax_rows(self, x):
-        assert_same_bits(softmax_rows(x), reference_softmax_rows(x))
+        """Also for non-finite rows (inf - inf is NaN, without a warning
+        here) and in place, as the block forward calls it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_softmax_rows(x)
+            assert_same_bits(softmax_rows(x), want)
+            y = x.copy()
+            softmax_rows_into(y, y, np.empty((len(y), 1), np.float32), np.empty_like(y))
+        assert_same_bits(y, want)
 
     @settings(max_examples=150, deadline=None)
     @given(float32_matrices())

@@ -255,7 +255,7 @@ class TestTraceSerialization:
                                                              default_run_factory, first_heavy):
         """A trace saved into a directory that holds a heavy (or light) one
         loads back as the trace saved last; a heavy trace's tensor files
-        stay behind under a light one, unread."""
+        are removed under a light one."""
         run = default_run_factory(3)
         short = SamplerRun(step_list=run.step_list[:4], z_init=run.z_init, seed=3)
         first, second = (record_baseline(default_net, short, default_sched, heavy=h)
@@ -270,7 +270,24 @@ class TestTraceSerialization:
             assert [a.tobytes() for a in loaded.outputs] == [a.tobytes() for a in second.outputs]
         else:
             assert loaded.deltas is None and loaded.outputs is None
-            assert (tmp_path / "delta_s0003_b011.f32").exists()
+            assert not (tmp_path / "delta_s0003_b011.f32").exists()
+            assert sorted(os.listdir(tmp_path)) == ["tensors.json", "trace.json"]
+
+    @pytest.mark.parametrize("header", [
+        "not json",
+        '[{"file": "delta_s0000_b000.f32"}]',
+        '{"version": 3, "shape": [2], "steps": 1, "blocks": 1, "outputs": 0}',
+        '{"version": 2, "shape": [2], "steps": 1000000000, "blocks": 1000000000, "outputs": 0}',
+    ], ids=["not_json", "first_format", "other_version", "counts_past_the_files"])
+    def test_save_over_a_foreign_header_removes_nothing(self, tmp_path, header):
+        """A ``tensors.json`` that ``save_trace`` did not write is replaced,
+        and no file it might name is removed."""
+        (tmp_path / "tensors.json").write_text(header)
+        (tmp_path / "delta_s0000_b000.f32").write_bytes(bytes(8))
+        trace = RunTrace()
+        save_trace(trace, tmp_path)
+        assert load_trace(tmp_path).to_dict() == trace.to_dict()
+        assert (tmp_path / "delta_s0000_b000.f32").read_bytes() == bytes(8)
 
     @settings(max_examples=60, deadline=None)
     @given(_traces())
