@@ -48,7 +48,7 @@ once.
 
 An engine without a config is the full-compute baseline of
 ``record_baseline``: every step is "full", no cache is kept, and heavy mode
-captures every block's delta and each step's model output.
+captures each step's delta stack (one copy per step) and model output.
 
 Only invoked computations count as block evaluations; predictions are a few
 vector ops per step and are accounted separately in the trace.
@@ -332,7 +332,7 @@ class SortblockEngine:
         rec = self._record
         served = self._deltas_of(self._stack, self._chain[0])
         if self.heavy:
-            self.trace.deltas.append([d.copy() for d in self._deltas])
+            self.trace.deltas.append(self._deltas.copy())
         if self.store_outputs:
             self.trace.outputs.append(self._stack[-1].copy())
         # after the copies: the statistics take the deltas' abs in place

@@ -48,6 +48,8 @@ def measure_l1_curve(trace: RunTrace) -> tuple[list[float], list[float]]:
 
     Returns one value per step pair, labeled with the later (more denoised)
     step's timestep -- the step at which a policy would act on that change.
+    Each output is widened to float64 once: a pair's later output is the
+    next pair's earlier one.
     """
     if trace.outputs is None:
         raise MissingDataError("trace has no recorded model outputs (record with outputs on)")
@@ -55,10 +57,10 @@ def measure_l1_curve(trace: RunTrace) -> tuple[list[float], list[float]]:
         raise MissingDataError("need at least two recorded steps")
     timesteps: list[float] = []
     values: list[float] = []
-    for i in range(len(trace.outputs) - 1):
-        a = trace.outputs[i].astype(np.float64)
-        b = trace.outputs[i + 1].astype(np.float64)
-        timesteps.append(float(trace.steps[i + 1].timestep))
+    b = trace.outputs[0].astype(np.float64)
+    for i in range(1, len(trace.outputs)):
+        a, b = b, trace.outputs[i].astype(np.float64)
+        timesteps.append(float(trace.steps[i].timestep))
         values.append(float(np.mean(np.abs(b - a))))
     return timesteps, values
 

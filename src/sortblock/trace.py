@@ -12,6 +12,11 @@ output at every step, which is what the oracle and the L1-curve analysis
 consume.  Heavy mode is guarded by a memory preflight so oversized configs
 fail loudly instead of thrashing.
 
+A heavy trace holds each step's deltas as one (blocks, tokens, channels)
+float32 stack, the engine's own, copied once per step; iterating a stack
+gives one block's delta at a time, as a list of per-block arrays does, and
+every reader here takes either.
+
 Serialization: scalar records go to one compact JSON document,
 ``trace.json``, one step record per line.  Tensors go next to it as raw
 little-endian float32 files named by ``_tensor_file``.  They share one
@@ -19,9 +24,13 @@ shape, so ``tensors.json`` is a one-object header: {version, shape, steps,
 blocks, outputs}, a steps x blocks grid of deltas (present exactly when the
 trace is heavy) and an output for each of the first ``outputs`` steps.
 Every saved trace has the header; a trace without tensors gets shape [] and
-all counts 0.  So a save over an earlier one always replaces its header, and
-the tensor files it leaves behind stay unread.  The two JSON files are
-written atomically; the tensor files are not.
+all counts 0.  A save that writes tensor files, or replaces a trace that
+has some, removes the old header first and writes the new one last, so a save that fails part-way leaves a
+directory that does not load, never a mix of two traces; once the new
+header is in place, the tensor files only the old one named are removed.
+The two JSON files are written atomically; the tensor files are not.  Save
+and load each open the directory once and every tensor file relative to
+that handle, and load reads a step's files into the rows of one stack.
 """
 
 from __future__ import annotations
@@ -70,7 +79,8 @@ class RunTrace:
     config: dict = field(default_factory=dict)
     heavy: bool = False
     outputs: Optional[list[Matrix]] = None  # model output per step (heavy)
-    deltas: Optional[list[list[Matrix]]] = None  # [step][block] residual delta (heavy)
+    # [step] (blocks, tokens, channels) float32 stack of residual deltas (heavy)
+    deltas: Optional[list[np.ndarray]] = None
     final_latent: Optional[Matrix] = None  # set by the recording run, not serialized
 
     def ranked_flag_schedule(self) -> dict[int, list[int]]:
@@ -158,16 +168,42 @@ def record_baseline(
 def oracle_similarities(trace: RunTrace, step: int) -> list[float]:
     """Per-block cosine similarity between the true residual deltas at `step`
     and `step + 1` of a recorded full-compute run (the ideal-knowledge ranking
-    signal, available only offline)."""
-    from .engine import cosine_similarity
+    signal, available only offline).
+
+    Bit for bit ``engine.cosine_similarity`` of each block's pair: the two
+    steps are widened to float64 a chunk of rows at a time, and each chunk
+    is scored with three ``np.vecdot`` calls (a.b, a.a, b.b), which reach
+    the same ``ddot`` as its dot products.  Each chunk buffer stays under
+    128 KiB (the allocator rule in the ``numerics.py`` docstring)."""
+    from .engine import _cosine
 
     if not trace.heavy or trace.deltas is None:
         raise MissingDataError("oracle similarities need a heavy trace with stored deltas")
     if step < 0 or step + 1 >= len(trace.deltas):
         raise ConfigError(f"step {step} has no successor in the trace")
-    return [
-        cosine_similarity(a, b) for a, b in zip(trace.deltas[step], trace.deltas[step + 1])
-    ]
+    try:  # a step's stack as it is; a list of per-block deltas is stacked
+        a, b = (np.asarray(trace.deltas[s]) for s in (step, step + 1))
+        if a.ndim == 0 or a.shape != b.shape:
+            raise ValueError
+    except ValueError:  # also a list of deltas of several shapes
+        raise ShapeError(f"steps {step} and {step + 1} do not hold one delta of one shape per block") from None
+    blocks, n = len(a), math.prod(a.shape[1:])
+    a, b = a.reshape(blocks, n), b.reshape(blocks, n)
+    rows = max(1, (_CHUNK_BYTES - 1) // (8 * max(n, 1)))
+    wa, wb = np.empty((min(rows, blocks), n)), np.empty((min(rows, blocks), n))
+    ab, aa, bb = dots = np.empty((3, blocks))
+    for i in range(0, blocks, rows):
+        k = min(rows, blocks - i)
+        ca, cb = wa[:k], wb[:k]
+        np.copyto(ca, a[i:i + k])
+        np.copyto(cb, b[i:i + k])
+        np.vecdot(ca, cb, out=ab[i:i + k])
+        np.vecdot(ca, ca, out=aa[i:i + k])
+        np.vecdot(cb, cb, out=bb[i:i + k])
+    return [_cosine(dot, math.sqrt(na2), math.sqrt(nb2)) for dot, na2, nb2 in zip(*dots.tolist())]
+
+
+_CHUNK_BYTES = 128 * 2**10  # glibc's default mmap threshold; an oracle chunk buffer stays below it
 
 
 def ranking_fidelity(predicted, oracle_scores) -> float:
@@ -188,38 +224,56 @@ def ranking_fidelity(predicted, oracle_scores) -> float:
 
 def save_trace(trace: RunTrace, directory) -> None:
     """Write ``trace`` to ``directory``: ``trace.json``, the ``tensors.json``
-    header and one file per tensor the header counts.  Over an earlier
-    trace, the tensor files its header named that the new one does not are
-    removed once the new header is in place, so a crash part-way leaves
-    stale files, never a header whose tensors are missing."""
+    header and one file per tensor the header counts, each opened relative to
+    one handle on the directory.  Over an earlier trace with tensors, or
+    with tensors to write, the old header is removed before anything else is
+    written, and the tensor files it named that the new one does not are
+    removed once the new header is in place: a save that fails part-way
+    leaves a directory ``load_trace`` refuses for its missing header, never
+    a mix of two traces, and one that completes leaves no stale files.  A
+    save without tensors over a trace without tensors replaces only the two
+    JSON files, each atomically."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    stale = _header_files(directory / "tensors.json")
+    old_files = _header_files(directory / "tensors.json")
     deltas = trace.deltas if trace.heavy and trace.deltas else []
     outputs = trace.outputs or []
-    files = {_tensor_file(s, b): a for s, per_block in enumerate(deltas) for b, a in enumerate(per_block)}
+    files = {_tensor_file(s, b): a for s, stack in enumerate(deltas) for b, a in enumerate(stack)}
     files.update((_tensor_file(s), a) for s, a in enumerate(outputs))
     shape = next(iter(files.values())).shape if files else ()
     blocks = len(deltas[0]) if deltas else 0
-    if any(a.shape != shape for a in files.values()) or any(len(per_block) != blocks for per_block in deltas):
+    if any(a.shape != shape for a in files.values()) or any(len(stack) != blocks for stack in deltas):
         raise ShapeError("a trace's tensors must share one shape, and each step must hold one delta per block")
-    for fname, arr in files.items():  # raw <f4 bytes, not copied when arr already is contiguous <f4
-        data = memoryview(np.ascontiguousarray(arr, "<f4").reshape(-1).view(np.uint8))
-        fd = os.open(os.path.join(directory, fname), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        try:
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
-    from .blob import write_atomic  # imported on use: ``import sortblock`` does not load blob
-    doc = trace.to_dict()
-    steps = ",\n".join(map(_dumps, doc.pop("steps")))  # one per line, then the other fields
-    write_atomic(directory / "trace.json", (('{"steps":[\n' + steps + "\n]," + _dumps(doc)[1:]).encode(),))
-    header = {"version": TENSORS_VERSION, "shape": list(shape), "steps": len(deltas), "blocks": blocks,
-              "outputs": len(outputs)}
-    write_atomic(directory / "tensors.json", (_dumps(header).encode(),))
-    for fname in stale - files.keys():
-        (directory / fname).unlink(missing_ok=True)
+    dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        if files or old_files:  # no header may count tensor files this save writes or leaves stale
+            _unlink("tensors.json", dir_fd)
+        for fname, arr in files.items():  # raw <f4 bytes, not copied when arr already is contiguous <f4
+            data = memoryview(np.ascontiguousarray(arr, "<f4").reshape(-1).view(np.uint8))
+            fd = os.open(fname, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666, dir_fd=dir_fd)
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+        from .blob import write_atomic  # imported on use: ``import sortblock`` does not load blob
+        doc = trace.to_dict()
+        steps = ",\n".join(map(_dumps, doc.pop("steps")))  # one per line, then the other fields
+        write_atomic(directory / "trace.json", (('{"steps":[\n' + steps + "\n]," + _dumps(doc)[1:]).encode(),))
+        header = {"version": TENSORS_VERSION, "shape": list(shape), "steps": len(deltas), "blocks": blocks,
+                  "outputs": len(outputs)}
+        write_atomic(directory / "tensors.json", (_dumps(header).encode(),))
+        for fname in old_files - files.keys():
+            _unlink(fname, dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
+def _unlink(name: str, dir_fd: int) -> None:
+    try:
+        os.unlink(name, dir_fd=dir_fd)
+    except FileNotFoundError:
+        pass
 
 
 def _header_files(sidecar: Path) -> set[str]:
@@ -272,22 +326,77 @@ def load_trace(directory) -> RunTrace:
     if header["version"] != TENSORS_VERSION:
         raise ParseError(f"{sidecar}: version {header['version']}, expected {TENSORS_VERSION}")
     checked(sidecar, header, _HEADER_FIELDS)
-    steps, blocks, outputs = header["steps"], header["blocks"], header["outputs"]
-    if min(steps, blocks, outputs) < 0:
+    if min(header["steps"], header["blocks"], header["outputs"]) < 0:
         raise ParseError(f"{sidecar}: a negative tensor count")
-    if (steps > 0) != trace.heavy:
-        raise ParseError(f"{sidecar}: {steps} steps of deltas, although {path} gives heavy={trace.heavy}")
-    shape = header["shape"]
-    nbytes = f32_nbytes(sidecar, shape)
-
-    def read(step: int, block: Optional[int] = None) -> Matrix:
-        return _read_tensor(os.path.join(directory, _tensor_file(step, block)), shape, nbytes, sidecar)
-
-    if trace.heavy:
-        trace.deltas = [[read(s, b) for b in range(blocks)] for s in range(steps)]
-    if outputs:
-        trace.outputs = [read(s) for s in range(outputs)]
+    if (header["steps"] > 0) != trace.heavy:
+        raise ParseError(f"{sidecar}: {header['steps']} steps of deltas, although {path} gives heavy={trace.heavy}")
+    nbytes = f32_nbytes(sidecar, header["shape"])
+    if trace.heavy or header["outputs"]:
+        _read_tensors(trace, directory, header, nbytes)
     return trace
+
+
+def _read_tensors(trace: RunTrace, directory: Path, header: dict, nbytes: int) -> None:
+    """The tensors ``header`` counts, ``nbytes`` each, into ``trace``: each
+    step's deltas into the rows of one stack, then the outputs.  Every file
+    is opened relative to one handle on ``directory`` and read with one
+    ``readv`` that ends in a 1-byte probe, which only a longer file fills; a
+    file's size is looked up only to word the error.  Before the first
+    allocation the header sizes, the last file it names must hold one
+    tensor, so a count or a shape past the files fails as a missing or
+    wrongly sized file."""
+    sidecar = directory / "tensors.json"
+    shape, steps, blocks, outputs = header["shape"], header["steps"], header["blocks"], header["outputs"]
+    f32_nbytes(sidecar, [blocks, *shape])  # a step's stack
+    probe = bytearray(1)
+
+    def unreadable(name: str, exc: OSError) -> ParseError:
+        return ParseError(f"{directory / name}: cannot read the tensor file {sidecar} names: {exc.strerror}")
+
+    def wrong_size(name: str, size: int) -> ParseError:
+        return ParseError(f"{directory / name}: holds {size} bytes, {sidecar} gives shape {list(shape)} "
+                          f"({nbytes} bytes)")
+
+    def read(name: str, into: np.ndarray) -> np.ndarray:
+        view = memoryview(into.reshape(-1).view(np.uint8))
+        try:
+            fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
+            try:
+                got = os.readv(fd, [view, probe])
+                while got < nbytes and (n := os.readv(fd, [view[got:], probe])):  # a short read
+                    got += n
+                if got != nbytes:
+                    raise wrong_size(name, os.fstat(fd).st_size)
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            raise unreadable(name, exc) from exc
+        return into
+
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    except OSError as exc:
+        raise ParseError(f"{directory}: cannot open the trace directory: {exc.strerror}") from exc
+    try:
+        if steps * blocks or outputs:
+            last = _tensor_file(steps - 1, blocks - 1) if steps * blocks else _tensor_file(outputs - 1)
+            try:
+                size = os.stat(last, dir_fd=dir_fd).st_size
+            except OSError as exc:
+                raise unreadable(last, exc) from exc
+            if size != nbytes:
+                raise wrong_size(last, size)
+        if trace.heavy:
+            trace.deltas = []
+            for s in range(steps):
+                stack = np.empty((blocks, *shape), "<f4")
+                for b, row in enumerate(stack):
+                    read(_tensor_file(s, b), row)
+                trace.deltas.append(stack)
+        if outputs:
+            trace.outputs = [read(_tensor_file(s), np.empty(shape, "<f4")) for s in range(outputs)]
+    finally:
+        os.close(dir_fd)
 
 
 _TRACE_FIELDS = schema({"steps": list, "total_evals": int, "wall_time_s": float, "config": dict, "heavy": bool})
@@ -300,28 +409,3 @@ def _step_record(path: Path, r) -> StepRecord:
         r.setdefault("degenerate_predictions", 0)  # StepRecord's default
     r = checked(path, r, _STEP_FIELDS)
     return StepRecord(**{key: r[key] for key in _STEP_FIELDS})
-
-
-def _read_tensor(path: str, shape, nbytes: int, sidecar: Path) -> Matrix:
-    """One raw little-endian float32 tensor file of ``nbytes`` bytes, as
-    ``sidecar`` gives it; a missing, unreadable or wrongly sized file raises
-    ParseError naming it and ``sidecar``."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            size = os.fstat(fd).st_size
-            if size != nbytes:
-                raise ParseError(
-                    f"{path}: holds {size} bytes, {sidecar} gives shape {list(shape)} ({nbytes} bytes)"
-                )
-            arr = np.empty(shape, "<f4")
-            view = memoryview(arr.reshape(-1).view(np.uint8))
-            while view and (n := os.readv(fd, [view])):
-                view = view[n:]
-            if view:
-                raise ParseError(f"{path}: shorter than its {nbytes} bytes")
-        finally:
-            os.close(fd)
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read the tensor file {sidecar} names: {exc.strerror}") from exc
-    return arr

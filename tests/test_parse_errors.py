@@ -225,19 +225,45 @@ def heavy_trace():
     return record_baseline(init_network(DitConfig()), short, sched, heavy=True)
 
 
-@pytest.mark.parametrize("damage", ["missing", "truncated", "empty", "oversized", "directory"])
-def test_load_trace_broken_tensor_file_raises_parse_error(tmp_path, heavy_trace, damage):
-    save_trace(heavy_trace, tmp_path)
-    path = tmp_path / "delta_s0001_b005.f32"
+def _damage_tensor(path, damage):
     if damage in ("missing", "directory"):
         path.unlink()
         if damage == "directory":
             path.mkdir()
-    elif damage == "oversized":  # the whole tensor, then extra bytes
-        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+    elif damage in ("oversized", "long_by_one"):  # the whole tensor, then extra bytes
+        path.write_bytes(path.read_bytes() + bytes(4 if damage == "oversized" else 1))
     else:
-        path.write_bytes(path.read_bytes()[: 100 if damage == "truncated" else 0])
+        data = path.read_bytes()
+        path.write_bytes(data[: {"truncated": 100, "empty": 0, "short_by_one": len(data) - 1}[damage]])
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "empty", "oversized", "directory",
+                                    "short_by_one", "long_by_one"])
+def test_load_trace_broken_tensor_file_raises_parse_error(tmp_path, heavy_trace, damage):
+    save_trace(heavy_trace, tmp_path)
+    _damage_tensor(tmp_path / "delta_s0001_b005.f32", damage)
     with pytest.raises(ParseError, match="delta_s0001_b005.f32.*tensors.json"):
+        load_trace(tmp_path)
+
+
+@pytest.mark.parametrize("damage", ["short_by_one", "long_by_one", "directory"])
+@pytest.mark.parametrize("name", ["delta_s0002_b011.f32", "output_s0000.f32", "output_s0002.f32"])
+def test_load_trace_wrongly_sized_first_or_last_tensor_raises_parse_error(tmp_path, heavy_trace, name, damage):
+    """The last delta file, whose size is checked before any stack is
+    allocated, and the first and last output files."""
+    save_trace(heavy_trace, tmp_path)
+    _damage_tensor(tmp_path / name, damage)
+    with pytest.raises(ParseError, match=f"{name}.*tensors.json"):
+        load_trace(tmp_path)
+
+
+@pytest.mark.parametrize("damage", ["short_by_one", "long_by_one", "directory"])
+def test_light_trace_wrongly_sized_last_output_raises_parse_error(tmp_path, heavy_trace, damage):
+    """A light trace with outputs (as ``analyze`` saves it) checks its last
+    output file before it allocates any."""
+    save_trace(dataclasses.replace(heavy_trace, heavy=False, deltas=None), tmp_path)
+    _damage_tensor(tmp_path / "output_s0002.f32", damage)
+    with pytest.raises(ParseError, match="output_s0002.f32.*tensors.json"):
         load_trace(tmp_path)
 
 

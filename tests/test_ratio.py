@@ -55,6 +55,20 @@ class TestMeasureL1Curve:
         with pytest.raises(MissingDataError):
             measure_l1_curve(trace)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8),
+           st.sampled_from([(1,), (3, 5), (64, 64), (70, 80)]), st.integers(-30, 30))
+    def test_bit_exact_against_per_pair_formula(self, seed, n, shape, exponent):
+        """Each output widened once gives the per-pair formula's bits:
+        both outputs of a pair widened, subtracted, abs, mean."""
+        rng = np.random.default_rng(seed)
+        outputs = [rng.standard_normal(shape) * 10.0**exponent for _ in range(n)]
+        trace = _synthetic_trace(outputs)
+        expected = [float(np.mean(np.abs(b.astype(np.float64) - a.astype(np.float64))))
+                    for a, b in zip(trace.outputs, trace.outputs[1:])]
+        _, values = measure_l1_curve(trace)
+        assert list(map(float.hex, values)) == list(map(float.hex, expected))
+
     def test_real_curve_shape_at_default_seed(self, baseline_factory):
         # toy-scale analog of the qualitative published shape: endpoints above
         # the middle-70% median (deterministic at the default seed)

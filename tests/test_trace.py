@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import tempfile
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from sortblock import (
     ConfigError,
     MissingDataError,
+    ParseError,
     ResourceError,
     ShapeError,
     Rng,
@@ -22,7 +24,8 @@ from sortblock import (
     run_sortblock,
     standard_normal,
 )
-from sortblock.engine import PolicySequence
+from sortblock import blob
+from sortblock.engine import PolicySequence, cosine_similarity
 from sortblock.trace import RunTrace, StepRecord, load_trace, save_trace, served_delta_stats
 
 
@@ -96,6 +99,11 @@ class TestRecordBaseline:
                 )
                 assert rec.delta_l1[b] == pytest.approx(float(np.mean(np.abs(delta))), rel=1e-12)
 
+    def test_heavy_deltas_are_one_stack_per_step(self, baseline_factory):
+        trace = baseline_factory(0)
+        assert all(type(d) is np.ndarray and d.dtype == np.float32 and d.shape == (12, 64, 64) for d in trace.deltas)
+        assert not any(np.shares_memory(a, b) for a, b in zip(trace.deltas, trace.deltas[1:]))
+
     def test_block_profile_finite_positive(self, baseline_factory):
         trace = baseline_factory(0)
         values = np.array([v for rec in trace.steps for v in rec.delta_l1])
@@ -142,6 +150,44 @@ class TestOracleSimilarities:
     def test_bit_reproducible(self, baseline_factory):
         trace = baseline_factory(0)
         assert oracle_similarities(trace, 10) == oracle_similarities(trace, 10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_batched_bit_exact_against_per_block_cosine(self, data):
+        """The chunked oracle gives ``cosine_similarity``'s bits for every
+        block, on a step's stack or on a list of per-block deltas: zero rows
+        (the sentinel), NaN and +-inf rows, norms below 1e-12, huge values,
+        one block and block counts off the 3-row chunk."""
+        blocks = data.draw(st.integers(1, 13))
+        shape = data.draw(st.sampled_from([(1,), (7,), (8, 8), (64, 64), (50, 100)]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kinds = st.sampled_from(["scaled", "zero", "tiny", "nan", "inf", "-inf", "huge"])
+
+        def step():
+            rows = []
+            for _ in range(blocks):
+                kind, row = data.draw(kinds), rng.standard_normal(shape)
+                if kind == "scaled":
+                    row *= 10.0 ** data.draw(st.integers(-20, 20))
+                elif kind in ("zero", "tiny", "huge"):
+                    row *= {"zero": 0.0, "tiny": 1e-16, "huge": 1e30}[kind]
+                else:
+                    row.flat[rng.integers(row.size)] = float(kind)
+                rows.append(row.astype(np.float32))
+            return rows
+
+        per_block = [step(), step()]
+        expected = [cosine_similarity(a, b) for a, b in zip(*per_block)]
+        for trace in (_delta_trace(per_block), RunTrace(heavy=True, deltas=[np.stack(d) for d in per_block])):
+            assert list(map(float.hex, oracle_similarities(trace, 0))) == list(map(float.hex, expected))
+
+    def test_deltas_of_two_shapes_are_refused(self):
+        trace = RunTrace(heavy=True, deltas=[np.zeros((2, 3, 4), np.float32), np.zeros((2, 4, 3), np.float32)])
+        with pytest.raises(ShapeError):
+            oracle_similarities(trace, 0)
+        trace.deltas = [[np.zeros(3)], [np.zeros(3), np.zeros(3)]]
+        with pytest.raises(ShapeError):
+            oracle_similarities(trace, 0)
 
 
 class TestRankingFidelity:
@@ -272,6 +318,53 @@ class TestTraceSerialization:
             assert loaded.deltas is None and loaded.outputs is None
             assert not (tmp_path / "delta_s0003_b011.f32").exists()
             assert sorted(os.listdir(tmp_path)) == ["tensors.json", "trace.json"]
+
+    def test_failed_save_over_a_heavy_trace_does_not_load(self, tmp_path, monkeypatch):
+        """A save of a 3-step, 2-block trace of twos over one of ones that
+        fails at the 4th tensor file leaves a directory ``load_trace``
+        refuses for its missing header, not a mix of the two traces; the
+        next save that completes loads as its trace."""
+        ones, twos = (_delta_trace([[np.full(2, v)] * 2] * 3) for v in (1.0, 2.0))
+        save_trace(ones, tmp_path)
+        real_open, tensor_opens = os.open, []
+
+        def failing_open(path, *args, **kwargs):
+            if str(path).endswith(".f32"):
+                tensor_opens.append(path)
+                if len(tensor_opens) == 4:
+                    raise OSError(errno.EIO, "injected", str(path))
+            return real_open(path, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "open", failing_open)
+            with pytest.raises(OSError, match="injected"):
+                save_trace(twos, tmp_path)
+        assert len(tensor_opens) == 4
+        with pytest.raises(ParseError, match="tensors.json"):
+            load_trace(tmp_path)
+        save_trace(twos, tmp_path)
+        assert [[a.tolist() for a in stack] for stack in load_trace(tmp_path).deltas] == [[[2.0, 2.0]] * 2] * 3
+
+    def test_failed_save_without_tensors_over_outputs_does_not_load(self, tmp_path, monkeypatch):
+        """A light save without outputs over a light trace with outputs (as
+        ``analyze`` saves it) that fails at the new header leaves a
+        directory ``load_trace`` refuses, not the new steps with the old
+        outputs."""
+        steps = [StepRecord(step=s, timestep=900 - s, phase="full") for s in range(3)]
+        save_trace(RunTrace(steps=steps, outputs=[np.ones(2, np.float32)] * 3), tmp_path)
+        real_write = blob.write_atomic
+
+        def failing_write(path, parts):
+            if str(path).endswith("tensors.json"):
+                raise OSError(errno.ENOSPC, "injected", str(path))
+            real_write(path, parts)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(blob, "write_atomic", failing_write)
+            with pytest.raises(OSError, match="injected"):
+                save_trace(RunTrace(steps=steps, total_evals=2), tmp_path)
+        with pytest.raises(ParseError, match="tensors.json"):
+            load_trace(tmp_path)
 
     @pytest.mark.parametrize("header", [
         "not json",
