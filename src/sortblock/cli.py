@@ -37,7 +37,8 @@ import numpy as np
 from . import blob
 from .diffusion import NoiseSchedule, make_run, make_schedule, uniform_step_list
 from .dit import DitConfig, init_network
-from .engine import PREDICT_MODES, RATIO_MODES, PolicySequence, SortblockConfig, inner_window, run_sortblock
+from .engine import (PREDICT_MODES, RATIO_MODES, PolicySequence, SortblockConfig, inner_window, predicted_blocks,
+                     run_sortblock)
 from .errors import ConfigError, NonFiniteError, ParseError, SortblockError, checked, read_bytes, read_json, schema
 from .metrics import latent_pair_to_images, psnr, relative_l2, ssim
 from .ratio import (DEFAULT_DEGREE, FIT_DEGREES, fit_ratio_policy, fit_residual, load_policy, measure_l1_curve,
@@ -301,16 +302,6 @@ def cmd_fit(cfg: ExperimentConfig, curve_file: str, degree: int, beta: float) ->
     return 0
 
 
-def _prediction_events(trace) -> int:
-    events = 0
-    for rec in trace.steps:
-        if rec.phase == "ranked":
-            events += len(rec.flags)  # prediction sweep touches every block
-        elif rec.phase == "follow":
-            events += len(rec.flags) - sum(rec.flags)
-    return events
-
-
 def cmd_run(cfg: ExperimentConfig) -> int:
     """One generation run; writes latent blob, trace, and summary."""
     out = Path(cfg.out_dir)
@@ -331,7 +322,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         "block_evals": trace.total_evals,
         "baseline_block_evals": baseline_evals,
         "speedup": baseline_evals / trace.total_evals,
-        "prediction_events": _prediction_events(trace),
+        "prediction_events": sum(predicted_blocks(rec.phase, rec.flags) for rec in trace.steps),
         "wall_time_s": trace.wall_time_s,
         "problem_hash": cfg.problem_hash(),
     }

@@ -27,15 +27,15 @@ Every step that refreshes the cache computes every block, so the cache is one
 state shared by all blocks: the outputs of the last two compute-everything
 (full or outside) steps, the anchors, and the interval between them.  A
 ranked or follow step predicts all N blocks at once, before block 0 is
-served, by ``linear_predict``'s extrapolation k = step - anchor steps beyond
-the newer anchor, with slopes the ranked step writes over the older one.  A
-ranked step's references are re-formed from the newer anchor, the full step
-it follows.  Until two anchors exist the predictions are copies (counted as
-degenerate in the trace).  Recomputes between anchors are served but not
-cached: the next anchor supersedes them before any prediction would read
-them, and a slope over single-step gaps would differentiate step-to-step
-noise and resonate through the sampler feedback loop (extrapolation
-amplifies a 1-step slope by up to K-1).
+served, by ``linear_predict``'s body run on the stacks, k = step - anchor
+steps beyond the newer anchor; until two anchors exist the predictions are
+copies (counted as degenerate in the trace).  A ranked step re-forms its
+references from the newer anchor, the full step it follows, and scores each
+block by ``cosine_similarity``'s body.  Recomputes between anchors are
+served but not cached: the next anchor supersedes them before any
+prediction would read them, and a slope over single-step gaps would
+differentiate step-to-step noise and resonate through the sampler feedback
+loop (extrapolation amplifies a 1-step slope by up to K-1).
 
 A step is served from one (N, tokens, channels) stack: an anchor step
 computes every block into the older anchor's stack, a ranked or follow step
@@ -83,16 +83,19 @@ def cosine_similarity(a: Matrix, b: Matrix) -> float:
     """
     if a.shape != b.shape:
         raise ShapeError(f"cosine_similarity: shapes differ ({a.shape} vs {b.shape})")
-    # in float64; the norms are sqrt(v.dot(v)), which is what np.linalg.norm computes
-    av, bv = a.astype(np.float64).ravel(), b.astype(np.float64).ravel()
-    return _cosine(float(av @ bv), math.sqrt(av.dot(av)), math.sqrt(bv.dot(bv)))
+    return _cosine_similarity(a, b, np.empty(a.size), np.empty(b.size))
 
 
-def _cosine(dot: float, na: float, nb: float) -> float:
-    """The cosine of two vectors from their dot product and their norms."""
+def _cosine_similarity(a: Matrix, b: Matrix, av: np.ndarray, bv: np.ndarray) -> float:
+    """``cosine_similarity``'s body, for two operands of one size, widened
+    into the caller's float64 rows ``av`` and ``bv``: the ranking sweep
+    passes the engine's, so it allocates no row."""
+    av[...], bv[...] = a.reshape(-1), b.reshape(-1)
+    # the norms are sqrt(v.dot(v)), which is what np.linalg.norm computes
+    na, nb = math.sqrt(av.dot(av)), math.sqrt(bv.dot(bv))
     if na < _NORM_FLOOR or nb < _NORM_FLOOR:
         return ZERO_DELTA_SIMILARITY
-    c = dot / (na * nb)
+    c = float(av @ bv) / (na * nb)
     # the bits of float(np.clip(c, -1.0, 1.0)), NaN passing through, without
     # np.clip's per-call cost on a Python float
     return c if -1.0 <= c <= 1.0 else (math.copysign(1.0, c) if c == c else c)
@@ -101,18 +104,28 @@ def _cosine(dot: float, na: float, nb: float) -> float:
 def linear_predict(entry, k: int) -> Matrix:
     """First-order extrapolation k steps beyond ``entry.value``, of one
     block's outputs at the last two anchors (``value``, ``prev_value``) and
-    the steps between them (``interval``):
-    value + ((value - prev_value) / interval) * k.
-
-    An entry holding a single computation degenerates to a plain copy
-    (k-independent); callers flag that case in the trace.
+    the steps between them (``interval``), in a new array like ``value``:
+    value + ((value - prev_value) / interval) * k.  An entry holding a
+    single computation degenerates to a copy; callers flag that in the trace.
     """
+    out = np.empty_like(entry.value)
+    _linear_predict_into(entry.value, entry.prev_value, entry.interval, k, out)
+    return out
+
+
+def _linear_predict_into(value, prev_value, interval: int, k: int, out: np.ndarray) -> None:
+    """``linear_predict``'s body, written into ``out`` (not ``value`` or
+    ``prev_value``) with no temporary.  Its copy is exact, where value +
+    slope * 0 would turn -0.0 into +0.0 and an inf slope into NaN."""
     if k < 0:
         raise ConfigError("extrapolation distance k must be >= 0")
-    if entry.prev_value is None or entry.interval < 1:
-        return entry.value
-    slope = (entry.value - entry.prev_value) / np.float32(entry.interval)
-    return entry.value + slope * np.float32(k)
+    if prev_value is None or interval < 1:
+        np.copyto(out, value)
+        return
+    np.subtract(value, prev_value, out=out)
+    np.divide(out, np.float32(interval), out=out)
+    np.multiply(out, np.float32(k), out=out)
+    np.add(value, out, out=out)
 
 
 @dataclass
@@ -224,6 +237,13 @@ def step_phase(
     return ("full" if r == 0 else "ranked" if r == 1 else "follow"), counter
 
 
+def predicted_blocks(phase: str, flags: Sequence[int]) -> int:
+    """How many blocks a step of this phase and these flags predicts: all on
+    a ranked step (the sweep scores each before any is flagged), the
+    unflagged ones on a follow step, none on an anchor."""
+    return len(flags) if phase == "ranked" else len(flags) - sum(flags) if phase == "follow" else 0
+
+
 class SortblockEngine:
     """Stateful block hook implementing the caching lifecycle for one run.
 
@@ -260,13 +280,14 @@ class SortblockEngine:
         # (N, tokens, channels) float32 stacks, allocated at the first eval; a
         # config-less engine has only ``values`` and ``_deltas``
         self.values: Optional[np.ndarray] = None  # outputs at the anchor step
-        self.prev_values: Optional[np.ndarray] = None  # the anchor before; slopes from a ranked step on
+        self.prev_values: Optional[np.ndarray] = None  # outputs at the anchor before
         self.preds: Optional[np.ndarray] = None  # this step's predictions, then its recomputes
         self._deltas: Optional[np.ndarray] = None  # a step's deltas, written by ``_deltas_of``
         # (tokens, channels) float32 rows: the anchor step's input and a reference delta
         self._anchor_input = self._ref = None
-        # float64 work rows: a predicted delta and its reference in the ranking
-        # sweep; row 0 also widens each served delta for the step's statistics
+        # float64 work rows: the ranking sweep widens a predicted delta and its
+        # reference into them; row 0 also widens each served delta for the
+        # step's statistics
         self._work64: Optional[np.ndarray] = None
         self._anchor_flags = [1] * num_blocks
         self._record: Optional[StepRecord] = None  # this step's step, timestep and phase
@@ -279,8 +300,8 @@ class SortblockEngine:
     def begin_step(self, step_index: int, t: int) -> None:
         t = int(t)
         if self._record is not None and t >= self._record.timestep:
-            # the slopes of a ranked step serve its follow steps only if no
-            # anchor can come between them (see the module docstring)
+            # a ranked step's flags serve its follow steps only if no anchor
+            # can come between them (see the module docstring)
             raise SortblockError(f"timesteps must decrease: {t} after {self._record.timestep}")
         if self.cfg is None:
             label = "full"
@@ -341,7 +362,7 @@ class SortblockEngine:
         rec.evals = sum(rec.flags)
         self.trace.total_evals += rec.evals
         rec.eval_total = self.trace.total_evals
-        if self._flags is self._anchor_flags:
+        if rec.phase in ANCHOR_PHASES:
             self.interval = 0 if self.anchor_step is None else rec.step - self.anchor_step
             self.anchor_step = rec.step
 
@@ -362,24 +383,14 @@ class SortblockEngine:
             raise SortblockError("follow step before any ranked step")
         if self.anchor_step is None:
             raise SortblockError("prediction requested before the first full compute")
-        if self.cfg.predict_mode == "copy" or self.interval == 0:
-            # copies of the cached values: value + slope * 0 would turn -0.0
-            # into +0.0 and an inf slope into NaN
-            np.copyto(self.preds, self.values)
-            if self.cfg.predict_mode == "linear":  # a single anchor: degenerate copies
-                rec.degenerate_predictions += self.num_blocks - (0 if ranked else sum(self.policy.flags))
-        else:
-            # linear_predict's operations on the stacks, so the same bits.  The
-            # slope is the anchor interval's: a ranked step directly follows a
-            # full anchor, and the follow steps after it share that anchor
-            slopes = self.prev_values  # not read again before the next anchor
-            if ranked:
-                np.subtract(self.values, slopes, out=slopes)
-                np.divide(slopes, np.float32(self.interval), out=slopes)
-            np.multiply(slopes, np.float32(rec.step - self.anchor_step), out=self.preds)
-            np.add(self.values, self.preds, out=self.preds)
+        linear = self.cfg.predict_mode == "linear"
+        # copies of the newer anchor in copy mode or until two anchors exist
+        prev = self.prev_values if linear and self.interval else None
+        _linear_predict_into(self.values, prev, self.interval, rec.step - self.anchor_step, self.preds)
         if ranked:
             self._select(z)
+        if linear and prev is None:  # a single anchor: degenerate copies
+            rec.degenerate_predictions = predicted_blocks(rec.phase, self.policy.flags)
 
     def _select(self, z: Matrix) -> None:
         """This interval's policy: replayed flags, or the ranking of the
@@ -403,20 +414,15 @@ class SortblockEngine:
                 raise ConfigError("policy override flag count != num_blocks")
             self.policy = PolicySequence(flags=flags, scores=None)
             return
-        full = self.trace.steps[-2]  # the newer anchor, if it is a full step
-        if full.phase != "full" or full.step != self.anchor_step:
+        if self.trace.steps[-2].step != self.anchor_step:  # the full step before it did not end
             raise SortblockError("ranked step before any full step")
-        # the float32 predicted deltas (the delta stack is rewritten at the
-        # step's end), each widened with its reference for the float64 score:
-        # the full step's served delta, re-formed by the same subtraction, whose
-        # norm is that step's delta_l2, the same sqrt of the same dot
-        pred64, ref64 = self._work64
-        scores = []
-        for i, (delta, ref_norm) in enumerate(zip(self._deltas_of(self.preds, z), full.delta_l2)):
+        # each predicted delta (the delta stack is rewritten at the step's end)
+        # against its reference: the full step's served delta, re-formed by
+        # the same subtraction
+        scores, (pred64, ref64) = [], self._work64
+        for i, delta in enumerate(self._deltas_of(self.preds, z)):
             np.subtract(self.values[i], self.values[i - 1] if i else self._anchor_input, out=self._ref)
-            pred64[...] = delta
-            ref64[...] = self._ref.reshape(-1)
-            scores.append(_cosine(float(pred64 @ ref64), math.sqrt(pred64.dot(pred64)), ref_norm))
+            scores.append(_cosine_similarity(delta, self._ref, pred64, ref64))
         self.policy = select_blocks(scores, self.cfg.effective_rho(rec.timestep))
         rec.scores = list(self.policy.scores)
 
@@ -450,17 +456,9 @@ def run_sortblock(
     engine = SortblockEngine(cfg, net.num_blocks, policy_override)
     latent = sample_counted(sample, net, run, sched, engine)
     engine.trace.config = {
-        "mode": "sortblock",
-        "refresh_interval": cfg.refresh_interval,
-        "ratio_mode": cfg.ratio_mode,
-        "rho": cfg.rho,
-        "beta": cfg.beta,
-        "window": list(cfg.window),
-        "predict": cfg.predict_mode,
-        "steps": len(run.step_list),
-        "num_blocks": net.num_blocks,
-        "seed": run.seed,
-        "replayed_policy": policy_override is not None,
+        "mode": "sortblock", "refresh_interval": cfg.refresh_interval, "ratio_mode": cfg.ratio_mode, "rho": cfg.rho,
+        "beta": cfg.beta, "window": list(cfg.window), "predict": cfg.predict_mode, "steps": len(run.step_list),
+        "num_blocks": net.num_blocks, "seed": run.seed, "replayed_policy": policy_override is not None,
     }
     engine.trace.final_latent = latent
     return latent, engine.trace

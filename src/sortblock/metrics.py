@@ -57,6 +57,8 @@ def latent_pair_to_images(a: Matrix, b: Matrix) -> tuple[ImageView, ImageView]:
     """
     if a.shape != b.shape:
         raise ShapeError(f"latent shapes differ: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise ShapeError("latents hold no values")
     lo = min(float(a.min()), float(b.min()))
     hi = max(float(a.max()), float(b.max()))
     span = hi - lo

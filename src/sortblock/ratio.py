@@ -39,8 +39,9 @@ class RatioPolicy:
             raise ConfigError("ratio polynomial coefficients must be finite")
         if not (0.0 <= self.beta <= 1.0):
             raise ConfigError("beta must lie in [0, 1]")
-        if not (math.isfinite(self.t_min) and math.isfinite(self.t_max) and self.t_max > self.t_min):
-            raise ConfigError("normalization range must be finite and satisfy t_max > t_min")
+        if not (math.isfinite(self.t_max - self.t_min) and self.t_max > self.t_min):
+            # an infinite t_max - t_min would map every timestep to u = 0
+            raise ConfigError("normalization range must satisfy t_max > t_min, with t_max - t_min finite")
 
 
 def measure_l1_curve(trace: RunTrace) -> tuple[list[float], list[float]]:
@@ -85,7 +86,9 @@ def fit_ratio_policy(timesteps, l1_values, degree: int = DEFAULT_DEGREE, beta: f
     t_min, t_max = float(ts.min()), float(ts.max())
     if not t_max > t_min:
         raise ConfigError("timesteps must span a nonzero range")
-    span = float(ys.max() - ys.min())
+    span = float(ys.max()) - float(ys.min())  # Python floats: an overflow is inf, without a warning
+    if not math.isfinite(t_max - t_min) or not math.isfinite(span):
+        raise ConfigError("timesteps and l1_values must each span a range finite in float64")
     if span <= 0.0:
         constant_one = Polynomial(degree, (1.0,) + (0.0,) * degree)
         return RatioPolicy(poly=constant_one, beta=beta, t_min=t_min, t_max=t_max)

@@ -168,42 +168,19 @@ def record_baseline(
 def oracle_similarities(trace: RunTrace, step: int) -> list[float]:
     """Per-block cosine similarity between the true residual deltas at `step`
     and `step + 1` of a recorded full-compute run (the ideal-knowledge ranking
-    signal, available only offline).
-
-    Bit for bit ``engine.cosine_similarity`` of each block's pair: the two
-    steps are widened to float64 a chunk of rows at a time, and each chunk
-    is scored with three ``np.vecdot`` calls (a.b, a.a, b.b), which reach
-    the same ``ddot`` as its dot products.  Each chunk buffer stays under
-    128 KiB (the allocator rule in the ``numerics.py`` docstring)."""
-    from .engine import _cosine
+    signal, available only offline): ``engine.cosine_similarity`` of each
+    block's pair.  The two steps must hold as many deltas, of one shape per
+    block, or ShapeError."""
+    from .engine import cosine_similarity  # the engine module imports this one
 
     if not trace.heavy or trace.deltas is None:
         raise MissingDataError("oracle similarities need a heavy trace with stored deltas")
     if step < 0 or step + 1 >= len(trace.deltas):
         raise ConfigError(f"step {step} has no successor in the trace")
-    try:  # a step's stack as it is; a list of per-block deltas is stacked
-        a, b = (np.asarray(trace.deltas[s]) for s in (step, step + 1))
-        if a.ndim == 0 or a.shape != b.shape:
-            raise ValueError
-    except ValueError:  # also a list of deltas of several shapes
-        raise ShapeError(f"steps {step} and {step + 1} do not hold one delta of one shape per block") from None
-    blocks, n = len(a), math.prod(a.shape[1:])
-    a, b = a.reshape(blocks, n), b.reshape(blocks, n)
-    rows = max(1, (_CHUNK_BYTES - 1) // (8 * max(n, 1)))
-    wa, wb = np.empty((min(rows, blocks), n)), np.empty((min(rows, blocks), n))
-    ab, aa, bb = dots = np.empty((3, blocks))
-    for i in range(0, blocks, rows):
-        k = min(rows, blocks - i)
-        ca, cb = wa[:k], wb[:k]
-        np.copyto(ca, a[i:i + k])
-        np.copyto(cb, b[i:i + k])
-        np.vecdot(ca, cb, out=ab[i:i + k])
-        np.vecdot(ca, ca, out=aa[i:i + k])
-        np.vecdot(cb, cb, out=bb[i:i + k])
-    return [_cosine(dot, math.sqrt(na2), math.sqrt(nb2)) for dot, na2, nb2 in zip(*dots.tolist())]
-
-
-_CHUNK_BYTES = 128 * 2**10  # glibc's default mmap threshold; an oracle chunk buffer stays below it
+    a, b = trace.deltas[step], trace.deltas[step + 1]
+    if len(a) != len(b):
+        raise ShapeError(f"steps {step} and {step + 1} hold {len(a)} and {len(b)} block deltas")
+    return [cosine_similarity(x, y) for x, y in zip(a, b)]
 
 
 def ranking_fidelity(predicted, oracle_scores) -> float:

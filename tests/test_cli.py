@@ -140,6 +140,19 @@ class TestFit:
         assert err.startswith("error: ") and "curve.csv: line 5" in err and "Traceback" not in err
         assert not (tmp_path / "ratio_policy.json").exists()
 
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_curve_range_overflowing_float64_exits_1(self, tmp_path, capsys, column):
+        """Finite timesteps or l1 values whose range overflows float64 are a
+        validation error: one line, no numpy warning, no policy."""
+        rows = [[1, 0.1], [2, 0.2], [3, 0.3], [4, 0.4], [5, 0.5], [6, 0.6]]
+        rows[0][column], rows[1][column] = 1e308, -1e308
+        (tmp_path / "curve.csv").write_text("step,l1\n" + "".join(f"{t},{y}\n" for t, y in rows))
+        rc = _run_main(["fit", "--curve", tmp_path / "curve.csv", "--out-dir", tmp_path])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "finite" in lines[0], lines
+        assert not (tmp_path / "ratio_policy.json").exists()
+
     def test_malformed_csv_line_number(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("step,l1\n1.0,2.0\noops,not-a-number\n")
         rc = _run_main(["fit", "--curve", tmp_path / "bad.csv", "--out-dir", tmp_path])
@@ -168,6 +181,8 @@ class TestRun:
         assert summary["block_evals"] == 344
         assert summary["speedup"] == 600 / 344
         assert summary["speedup"] >= 1.7
+        # 8 intervals: a ranked step predicts all 12 blocks, each follow step the 8 unflagged
+        assert summary["prediction_events"] == 8 * (12 + 3 * 8)
         out = capsys.readouterr().out
         assert "speedup=600/344=" in out
 
@@ -502,6 +517,16 @@ class TestConfigMerging:
         blob.write_latent(tmp_path / "b.bin", np.zeros((8, 8), dtype=np.float32), 0, "h")
         rc = _run_main(["compare", "--a", tmp_path / "a.bin", "--b", tmp_path / "b.bin"])
         assert rc == 2
+
+    def test_empty_latents_are_runtime_error(self, tmp_path, capsys):
+        """Latents of shape [0, 64] load, but have no values to compare: one
+        runtime error line, no traceback."""
+        for name in ("a.bin", "b.bin"):
+            blob.write_latent(tmp_path / name, np.zeros((0, 64), dtype=np.float32), 0, "h")
+        rc = _run_main(["compare", "--a", tmp_path / "a.bin", "--b", tmp_path / "b.bin"])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["runtime error: latents hold no values"]
 
 
 class TestCsvRoundTrip:

@@ -35,7 +35,7 @@ from sortblock import (
     select_blocks,
     standard_normal,
 )
-from sortblock.engine import _NORM_FLOOR, ZERO_DELTA_SIMILARITY
+from sortblock.engine import _NORM_FLOOR, ZERO_DELTA_SIMILARITY, _linear_predict_into
 
 
 def _bits(scores):
@@ -125,7 +125,47 @@ def _entry(value, prev_value, interval):
     return SimpleNamespace(value=value, prev_value=prev_value, interval=interval)
 
 
+def _f32_stack(blocks):
+    """float32 stacks of ``blocks`` 2x2 blocks: signed zeros, infinities, NaN
+    and subnormals beside any float32."""
+    element = st.one_of(st.floats(width=32), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-45]))
+    return st.lists(element, min_size=4 * blocks, max_size=4 * blocks).map(
+        lambda v: np.array(v, dtype=np.float32).reshape(blocks, 2, 2))
+
+
+def _u32(a):
+    return a.view(np.uint32).tolist()
+
+
 class TestLinearPredict:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_in_place_body_writes_the_bits_of_linear_predict(self, data):
+        """The body the engine runs on its stacks writes, into its ``out``,
+        the bits of the allocating ``linear_predict`` and of the formula in
+        its docstring, at every interval and distance the engine uses."""
+        blocks = data.draw(st.integers(1, 4))
+        value, prev = data.draw(_f32_stack(blocks)), data.draw(_f32_stack(blocks))
+        interval = data.draw(st.integers(1, 9))
+        k = data.draw(st.integers(1, max(1, interval - 1)))
+        out = np.full_like(value, np.nan)
+        with np.errstate(all="ignore"):
+            _linear_predict_into(value, prev, interval, k, out)
+            want = linear_predict(_entry(value, prev, interval), k)
+            formula = value + ((value - prev) / np.float32(interval)) * np.float32(k)
+        assert _u32(out) == _u32(want) == _u32(formula)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(_f32_stack), st.booleans(), st.integers(0, 9), st.integers(0, 9))
+    def test_degenerate_entry_copies_value_bits(self, value, has_prev, interval, k):
+        """With no second anchor (no ``prev_value``, or an interval of 0)
+        the prediction holds ``value``'s exact bits: -0.0 stays -0.0 and
+        inf stays inf, where value + slope * 0 would give +0.0 and NaN."""
+        prev, interval = (np.ones_like(value), 0) if has_prev else (None, interval)
+        out = np.full_like(value, np.nan)
+        _linear_predict_into(value, prev, interval, k, out)
+        assert _u32(out) == _u32(value) == _u32(linear_predict(_entry(value, prev, interval), k))
+
     def test_zero_extrapolation_returns_value(self):
         entry = _entry(_vec(5, 6), _vec(1, 2), 3)
         assert np.array_equal(linear_predict(entry, 0), entry.value)
@@ -669,9 +709,10 @@ class TestColdCacheWindow:
         assert np.all(np.isfinite(latent))
         assert trace.steps[0].phase == "full"
         assert trace.steps[1].phase == "ranked"
-        # first-interval predictions fall back to copies (single-compute cache)
-        assert trace.steps[1].degenerate_predictions > 0
-        assert trace.steps[6].degenerate_predictions == 0
+        # first-interval predictions fall back to copies (single-compute cache):
+        # all 12 on the ranked step, the 8 unflagged on each follow step
+        assert [r.degenerate_predictions for r in trace.steps[1:5]] == [12, 8, 8, 8]
+        assert not any(r.degenerate_predictions for r in trace.steps[5:])
 
 
 class TestAffineExactness:

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,16 @@ class TestFitRatioPolicy:
         with pytest.raises(ConfigError, match="finite"):
             fit_ratio_policy([0, 10, 20, 30, 40], [0.1, 0.9, bad, 0.8, 0.2], degree=3)
 
+    @pytest.mark.parametrize("ts, ys", [([1, 2, 3, 4, 5, 6], [1e308, -1e308, 0, 0, 0, 0]),
+                                        ([1e308, -1e308, 0, 1, 2, 3], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])])
+    def test_range_overflowing_float64_raises(self, ts, ys):
+        """Finite samples whose max minus min overflows would normalize to
+        NaN; the fit refuses them before numpy warns of the overflow."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="finite"):
+                fit_ratio_policy(ts, ys, degree=5)
+
     def test_fit_determinism(self):
         ts = np.linspace(0, 100, 12)
         ys = np.sin(ts / 30.0) ** 2
@@ -137,7 +148,8 @@ class TestEvaluateRatio:
         with pytest.raises(ConfigError, match="finite"):
             RatioPolicy(poly=Polynomial(3, (0.5, coefficient, 0.0, 0.0)), beta=1.0, t_min=0, t_max=100)
 
-    @pytest.mark.parametrize("t_min, t_max", [(0.0, float("inf")), (float("-inf"), 100.0), (float("nan"), 100.0)])
+    @pytest.mark.parametrize("t_min, t_max", [(0.0, float("inf")), (float("-inf"), 100.0), (float("nan"), 100.0),
+                                              (-1e308, 1e308)])
     def test_non_finite_range_rejected(self, t_min, t_max):
         with pytest.raises(ConfigError):
             RatioPolicy(poly=Polynomial(3, (0.5, 0.0, 0.0, 0.0)), beta=1.0, t_min=t_min, t_max=t_max)

@@ -154,10 +154,10 @@ class TestOracleSimilarities:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_batched_bit_exact_against_per_block_cosine(self, data):
-        """The chunked oracle gives ``cosine_similarity``'s bits for every
-        block, on a step's stack or on a list of per-block deltas: zero rows
-        (the sentinel), NaN and +-inf rows, norms below 1e-12, huge values,
-        one block and block counts off the 3-row chunk."""
+        """The oracle gives ``cosine_similarity``'s bits for every block, on
+        a step's stack or on a list of per-block deltas: zero rows (the
+        sentinel), NaN and +-inf rows, norms below 1e-12, huge values, and
+        1 to 13 blocks."""
         blocks = data.draw(st.integers(1, 13))
         shape = data.draw(st.sampled_from([(1,), (7,), (8, 8), (64, 64), (50, 100)]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
