@@ -195,11 +195,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)  # float(): a numpy float64 is a float
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:

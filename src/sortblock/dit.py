@@ -91,28 +91,16 @@ class BlockWeights:
     """One block's parameters; attention and MLP projections plus the
     timestep-conditioning projection.
 
-    The query, key and value projections are stored together as ``wqkv``,
-    ``[wq | wk | wv]`` of (d, 3d): one matmul against it gives q, k and v as
-    its column blocks, with the bits of the three separate matmuls.  ``wq``,
-    ``wk`` and ``wv`` are its column views (not contiguous)."""
+    The query, key and value projections are stored together as ``wqkv``
+    of (d, 3d), in that order as its column blocks ``[:, :d]``,
+    ``[:, d:2d]`` and ``[:, 2d:]``: one matmul against it gives q, k and v,
+    with the bits of the three separate matmuls."""
 
     wqkv: Matrix
     wo: Matrix
     w1: Matrix
     w2: Matrix
     wt: Matrix
-
-    @property
-    def wq(self) -> Matrix:
-        return self.wqkv[:, : len(self.wqkv)]
-
-    @property
-    def wk(self) -> Matrix:
-        return self.wqkv[:, len(self.wqkv) : 2 * len(self.wqkv)]
-
-    @property
-    def wv(self) -> Matrix:
-        return self.wqkv[:, 2 * len(self.wqkv) :]
 
 
 @lru_cache(maxsize=8)
@@ -169,20 +157,21 @@ def _init_block_weights(
     normal draws: each matrix's ``standard_normal`` draws in turn (an
     odd-sized matrix draws and drops one more), scaled by 1/sqrt(d) in
     float32, then wo and w2 by the branch gain and wt by the conditioning
-    low-pass, in place.  wq, wk and wv are then laid out again, side by
-    side, as ``wqkv`` at the head of ``storage``, which their draws cover."""
+    low-pass, in place.  The query, key and value projections are then laid
+    out again, side by side, as ``wqkv`` at the head of ``storage``, which
+    their draws cover."""
     storage *= np.float32(1.0 / math.sqrt(d))
     views, offset = [], 0
     for rows, cols in shapes:
         views.append(storage[offset : offset + rows * cols].reshape(rows, cols))
         offset += 2 * ((rows * cols + 1) // 2)
-    wq, wk, wv, wo, w1, w2, wt = views
+    wo, w1, w2, wt = views[3:]
     gain = np.float32(BRANCH_GAIN)
     wo *= gain
     w2 *= gain
     wt *= _conditioning_lowpass(d_emb)
     wqkv = storage[: 3 * d * d].reshape(d, 3 * d)
-    wqkv[...] = np.concatenate((wq, wk, wv), axis=1)
+    wqkv[...] = np.concatenate(views[:3], axis=1)
     return BlockWeights(wqkv=wqkv, wo=wo, w1=w1, w2=w2, wt=wt)
 
 
@@ -194,7 +183,7 @@ def _weights_for_config(cfg: DitConfig) -> tuple[BlockWeights, ...]:
     # shared between Network instances for the same config
     d = d_emb = cfg.channels
     h = cfg.mlp_ratio * d
-    shapes = ((d, d), (d, d), (d, d), (d, d), (d, h), (h, d), (d_emb, d))  # wq .. wt
+    shapes = ((d, d), (d, d), (d, d), (d, d), (d, h), (h, d), (d_emb, d))  # q, k, v, wo .. wt
     count = sum(2 * ((rows * cols + 1) // 2) for rows, cols in shapes)
     storages = [np.empty(-(-count // 16) * 16, dtype=np.float32) for _ in range(cfg.num_blocks)]
     _standard_normal_into(

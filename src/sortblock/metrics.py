@@ -25,15 +25,15 @@ SSIM_C2 = 0.03**2
 
 @dataclass(frozen=True)
 class ImageView:
-    """Pixel array in [0, 1]: (height, width) or (height, width, channels)."""
+    """Grayscale pixel array in [0, 1], (height, width): a latent's view."""
 
     pixels: np.ndarray
 
     @classmethod
     def from_array(cls, arr) -> "ImageView":
         pixels = np.asarray(arr, dtype=np.float64)
-        if pixels.ndim not in (2, 3):
-            raise ShapeError("image arrays must be 2-D or 3-D")
+        if pixels.ndim != 2:
+            raise ShapeError("image arrays must be 2-D")
         return cls(np.clip(pixels, 0.0, 1.0))
 
     @property
@@ -43,10 +43,6 @@ class ImageView:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return 1 if self.pixels.ndim == 2 else self.pixels.shape[2]
 
 
 def latent_pair_to_images(a: Matrix, b: Matrix) -> tuple[ImageView, ImageView]:
@@ -98,7 +94,12 @@ def _box_mean(a: np.ndarray) -> np.ndarray:
     return sum(cols[:, j : j + w] for j in range(size)) / (size * size)
 
 
-def _ssim_channel(x: np.ndarray, y: np.ndarray) -> float:
+def ssim(a: ImageView, b: ImageView) -> float:
+    """Mean local SSIM over a 7x7 uniform window."""
+    _check_pair(a, b)
+    if min(a.height, a.width) < SSIM_WINDOW:
+        raise ConfigError(f"image smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
+    x, y = a.pixels, b.pixels
     mu_x = _box_mean(x)
     mu_y = _box_mean(y)
     xx = _box_mean(x * x) - mu_x * mu_x
@@ -107,18 +108,6 @@ def _ssim_channel(x: np.ndarray, y: np.ndarray) -> float:
     num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * xy + SSIM_C2)
     den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (xx + yy + SSIM_C2)
     return float(np.mean(num / den))
-
-
-def ssim(a: ImageView, b: ImageView) -> float:
-    """Mean local SSIM over a 7x7 uniform window, averaged across channels."""
-    _check_pair(a, b)
-    if min(a.height, a.width) < SSIM_WINDOW:
-        raise ConfigError(f"image smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
-    if a.pixels.ndim == 2:
-        return _ssim_channel(a.pixels, b.pixels)
-    return float(
-        np.mean([_ssim_channel(a.pixels[..., c], b.pixels[..., c]) for c in range(a.channels)])
-    )
 
 
 def kendall_tau(ranking_a, ranking_b) -> float:

@@ -49,11 +49,11 @@ rest of the process.  Only what it keeps, the weights and the jump table, is
 larger.
 
 The generator (``Rng``) is xorshift64*, whose state step is linear over GF(2).
-``Rng.fill_u64`` and ``standard_normal`` use that to jump lanes ahead and
-draw 16 values per lane in parallel numpy arithmetic, from a jump table
+``standard_normal`` uses that to jump lanes ahead and draw 16 values per
+lane in parallel numpy arithmetic (``_lane_chunks``), from a jump table
 built once per process with byte lookup tables ("four Russians"); the
 stream, every weight byte and every latent are those of the
-one-draw-at-a-time loop (see the class docstring).
+one-draw-at-a-time ``Rng.next_u64`` (see the class docstring).
 """
 
 from __future__ import annotations
@@ -173,19 +173,20 @@ class Rng:
     above so any run is reproducible within this implementation; bit-exactness
     across other implementations is not a goal.
 
-    ``fill_u64`` and ``standard_normal`` return the draws of ``next_u64``
-    calls and leave the same state behind, but generate them in numpy lanes:
-    lane l makes draws ``16*l .. 16*l + 15`` from its own start state, and all
-    lanes step together as uint64 arrays, one array per step.  The state step
-    T (three shift-xors) is linear over GF(2), so T^(16*l) is a 64x64 bit
-    matrix: lane l starts at the XOR of the images of the current state's set
-    bits under it, gathered from a cached jump table.  The output multiply
-    acts on each stepped state and never feeds back into the state, so it is
-    applied afterwards to all draws at once.  The table holds 1024 lanes
-    (64 x 1024 uint64, 512 KiB, built once per process from byte lookup
-    tables, see ``_jump_table``); longer fills run in chunks of 16,384 draws,
-    so no work buffer, the weight init's included, outgrows 128 KiB (the
-    allocator rule in the module docstring).
+    ``next_u64`` is the reference stream, one draw per call.  Bulk draws
+    (``standard_normal``, through ``_lane_chunks``) are the draws of
+    ``next_u64`` calls and leave the same state behind, but are generated in
+    numpy lanes: lane l makes draws ``16*l .. 16*l + 15`` from its own start
+    state, and all lanes step together as uint64 arrays, one array per
+    step.  The state step T (three shift-xors) is linear over GF(2), so
+    T^(16*l) is a 64x64 bit matrix: lane l starts at the XOR of the images
+    of the current state's set bits under it, gathered from a cached jump
+    table.  The output multiply acts on each stepped state and never feeds
+    back into the state, so it is applied afterwards to all draws at once.
+    The table holds 1024 lanes (64 x 1024 uint64, 512 KiB, built once per
+    process from byte lookup tables, see ``_jump_table``); longer fills run
+    in chunks of 16,384 draws, so no work buffer, the weight init's
+    included, outgrows 128 KiB (the allocator rule in the module docstring).
     """
 
     def __init__(self, seed: int):
@@ -200,18 +201,6 @@ class Rng:
         x ^= x >> 27
         self._state = x
         return (x * _XS64_MUL) & _MASK64
-
-    def fill_u64(self, count: int) -> np.ndarray:
-        """Next `count` raw draws as a uint64 array (exact; see the class
-        docstring for the lane layout)."""
-        count = max(count, 0)
-        raw = np.empty((-(-count // _LANE_RUN), _LANE_RUN // 2, 2), dtype=np.uint64)
-        for states, pieces in _lane_chunks([(self, count)]):
-            for _, lo, hi, first in pieces:
-                lane = first // _LANE_RUN
-                raw[lane : lane + hi - lo] = states[:, :, lo:hi].T
-        raw *= np.uint64(_XS64_MUL)
-        return raw.reshape(-1)[:count]
 
 
 def _lane_chunks(streams):

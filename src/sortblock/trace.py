@@ -24,13 +24,15 @@ shape, so ``tensors.json`` is a one-object header: {version, shape, steps,
 blocks, outputs}, a steps x blocks grid of deltas (present exactly when the
 trace is heavy) and an output for each of the first ``outputs`` steps.
 Every saved trace has the header; a trace without tensors gets shape [] and
-all counts 0.  A save that writes tensor files, or replaces a trace that
-has some, removes the old header first and writes the new one last, so a save that fails part-way leaves a
-directory that does not load, never a mix of two traces; once the new
-header is in place, the tensor files only the old one named are removed.
-The two JSON files are written atomically; the tensor files are not.  Save
-and load each open the directory once and every tensor file relative to
-that handle, and load reads a step's files into the rows of one stack.
+all counts 0.  A save that writes tensor files, or has stale ones to
+remove, removes the old header first and writes the new one last, so a
+save that fails part-way leaves a directory that does not load, never a mix
+of two traces.  Once the new header is in place, every tensor file it does
+not count is removed, also one that a failed save left behind, unless the
+directory held a header this module did not write.  The two JSON files are
+written atomically; the tensor files are not.  Save and load each open the
+directory once and every tensor file relative to that handle, and load
+reads a step's files into the rows of one stack.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -202,17 +205,16 @@ def ranking_fidelity(predicted, oracle_scores) -> float:
 def save_trace(trace: RunTrace, directory) -> None:
     """Write ``trace`` to ``directory``: ``trace.json``, the ``tensors.json``
     header and one file per tensor the header counts, each opened relative to
-    one handle on the directory.  Over an earlier trace with tensors, or
-    with tensors to write, the old header is removed before anything else is
-    written, and the tensor files it named that the new one does not are
-    removed once the new header is in place: a save that fails part-way
-    leaves a directory ``load_trace`` refuses for its missing header, never
-    a mix of two traces, and one that completes leaves no stale files.  A
-    save without tensors over a trace without tensors replaces only the two
-    JSON files, each atomically."""
+    one handle on the directory.  With tensors to write, or stale tensor
+    files to remove (see ``_own_tensor_files``), the old header is removed
+    before anything else is written, and the stale files once the new header
+    is in place: a save that fails part-way leaves a directory
+    ``load_trace`` refuses for its missing header, never a mix of two
+    traces, and one that completes leaves no stale files, also after a save
+    that failed part-way.  A save without tensors over a trace without
+    tensors replaces only the two JSON files, each atomically."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    old_files = _header_files(directory / "tensors.json")
     deltas = trace.deltas if trace.heavy and trace.deltas else []
     outputs = trace.outputs or []
     files = {_tensor_file(s, b): a for s, stack in enumerate(deltas) for b, a in enumerate(stack)}
@@ -221,9 +223,10 @@ def save_trace(trace: RunTrace, directory) -> None:
     blocks = len(deltas[0]) if deltas else 0
     if any(a.shape != shape for a in files.values()) or any(len(stack) != blocks for stack in deltas):
         raise ShapeError("a trace's tensors must share one shape, and each step must hold one delta per block")
+    stale = _own_tensor_files(directory) - files.keys()
     dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
     try:
-        if files or old_files:  # no header may count tensor files this save writes or leaves stale
+        if files or stale:  # no header may count tensor files this save writes or removes
             _unlink("tensors.json", dir_fd)
         for fname, arr in files.items():  # raw <f4 bytes, not copied when arr already is contiguous <f4
             data = memoryview(np.ascontiguousarray(arr, "<f4").reshape(-1).view(np.uint8))
@@ -240,7 +243,7 @@ def save_trace(trace: RunTrace, directory) -> None:
         header = {"version": TENSORS_VERSION, "shape": list(shape), "steps": len(deltas), "blocks": blocks,
                   "outputs": len(outputs)}
         write_atomic(directory / "tensors.json", (_dumps(header).encode(),))
-        for fname in old_files - files.keys():
+        for fname in stale:
             _unlink(fname, dir_fd)
     finally:
         os.close(dir_fd)
@@ -253,19 +256,24 @@ def _unlink(name: str, dir_fd: int) -> None:
         pass
 
 
-def _header_files(sidecar: Path) -> set[str]:
-    """The tensor files the header ``sidecar`` names, or none if it is
-    missing, is not a header of this version, or names more files than its
-    directory holds (so a damaged count cannot stall the save)."""
-    try:
-        header = checked(sidecar, read_json(sidecar), _HEADER_FIELDS)
-    except ParseError:
-        return set()
-    steps, blocks, outputs = header["steps"], header["blocks"], header["outputs"]
-    if header["version"] != TENSORS_VERSION or steps * blocks + outputs > len(os.listdir(sidecar.parent)):
-        return set()
-    names = {_tensor_file(s, b) for s in range(steps) for b in range(blocks)}
-    return names.union(_tensor_file(s) for s in range(outputs))
+def _own_tensor_files(directory: Path) -> set[str]:
+    """The files of ``directory`` named as ``_tensor_file`` names tensors,
+    if its ``tensors.json`` is missing (a save that failed part-way removed
+    it) or is a header of this version whose counts fit the directory;
+    otherwise none, so a header this module did not write, or a damaged
+    one, removes nothing."""
+    names = os.listdir(directory)
+    if "tensors.json" in names:
+        sidecar = directory / "tensors.json"
+        try:
+            header = checked(sidecar, read_json(sidecar), _HEADER_FIELDS)
+        except ParseError:
+            return set()
+        steps, blocks, outputs = header["steps"], header["blocks"], header["outputs"]
+        fits = min(steps, blocks, outputs) >= 0 and steps * blocks + outputs <= len(names)
+        if header["version"] != TENSORS_VERSION or not fits:
+            return set()
+    return {name for name in names if _TENSOR_NAME.fullmatch(name)}
 
 
 TENSORS_VERSION = 2  # 1 was an array of one entry per tensor
@@ -275,6 +283,9 @@ def _tensor_file(step: int, block: Optional[int] = None) -> str:
     """The file of block ``block``'s delta at ``step``, or of the step's
     model output when ``block`` is None."""
     return f"output_s{step:04d}.f32" if block is None else f"delta_s{step:04d}_b{block:03d}.f32"
+
+
+_TENSOR_NAME = re.compile(r"output_s\d{4,}\.f32|delta_s\d{4,}_b\d{3,}\.f32")  # the names _tensor_file gives
 
 
 _dumps = json.JSONEncoder(separators=(",", ":")).encode  # compact, C-encoded (no indent)
@@ -382,7 +393,5 @@ _HEADER_FIELDS = schema({"version": int, "shape": list[int], "steps": int, "bloc
 
 
 def _step_record(path: Path, r) -> StepRecord:
-    if type(r) is dict:
-        r.setdefault("degenerate_predictions", 0)  # StepRecord's default
     r = checked(path, r, _STEP_FIELDS)
     return StepRecord(**{key: r[key] for key in _STEP_FIELDS})

@@ -85,7 +85,7 @@ def gelu64(x):
 def reference_block_forward(net, index, x, t_emb):
     w = net.blocks[index]
     hn = reference_layer_norm(x + t_emb @ w.wt, LN_EPS)
-    q, k, v = hn @ w.wq, hn @ w.wk, hn @ w.wv
+    q, k, v = (hn @ part for part in np.split(w.wqkv, 3, axis=1))
     scores = (q @ k.T) * np.float32(1.0 / math.sqrt(net.cfg.channels))
     a = x + (reference_softmax_rows(scores) @ v) @ w.wo
     an = reference_layer_norm(a, LN_EPS)

@@ -41,7 +41,7 @@ class TestInitNetwork:
         a = init_network(DitConfig(seed=3))
         b = init_network(DitConfig(seed=3))
         for wa, wb in zip(a.blocks, b.blocks):
-            assert np.array_equal(wa.wq, wb.wq)
+            assert np.array_equal(wa.wqkv, wb.wqkv)
             assert np.array_equal(wa.w2, wb.w2)
 
     def test_block_count(self):
@@ -49,8 +49,8 @@ class TestInitNetwork:
 
     def test_blocks_get_distinct_weights(self):
         net = init_network(DitConfig())
-        assert not np.array_equal(net.blocks[0].wq, net.blocks[1].wq)
-        assert net.blocks[0].wq[0, 0] != net.blocks[1].wq[0, 0]
+        assert not np.array_equal(net.blocks[0].wqkv, net.blocks[1].wqkv)
+        assert net.blocks[0].wqkv[0, 0] != net.blocks[1].wqkv[0, 0]
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -79,19 +79,18 @@ class TestInitNetwork:
             draw = lambda r, c: standard_normal(rng, r, c) * scale
             want = (draw(d, d), draw(d, d), draw(d, d), draw(d, d) * gain,
                     draw(d, h), draw(h, d) * gain, draw(d, d) * _conditioning_lowpass(d))
-            for name, w in zip(("wq", "wk", "wv", "wo", "w1", "w2", "wt"), want):
-                assert getattr(got, name).tobytes() == w.tobytes(), name
+            parts = (*np.split(got.wqkv, 3, axis=1), got.wo, got.w1, got.w2, got.wt)
+            for name, part, w in zip(("q", "k", "v", "wo", "w1", "w2", "wt"), parts, want):
+                assert part.tobytes() == w.tobytes(), name
 
     def test_qkv_projections_share_one_buffer_with_the_block(self):
-        """wq, wk and wv are column views of one C-contiguous (d, 3d) wqkv,
-        which lives in the block's weight buffer: the fused projection is no
-        second copy of the weights."""
+        """The query, key and value projections are one C-contiguous (d, 3d)
+        wqkv, which lives in the block's weight buffer: the fused projection
+        is no second copy of the weights."""
         d = 64
         for w in init_network(DitConfig()).blocks:
             assert w.wqkv.shape == (d, 3 * d) and w.wqkv.flags.c_contiguous
             assert w.wqkv.base is w.wo.base is w.wt.base
-            for part in (w.wq, w.wk, w.wv):
-                assert part.shape == (d, d) and part.base is w.wqkv.base
 
     def test_per_width_arrays_are_computed_once_and_read_only(self):
         for fn in (_embedding_freqs, _conditioning_lowpass):

@@ -19,7 +19,7 @@ from sortblock import (
     softmax_rows,
     standard_normal,
 )
-from sortblock.numerics import _jump_table
+from sortblock.numerics import _LANE_RUN, _XS64_MUL, _jump_table, _lane_chunks
 
 
 class TestLayerNorm:
@@ -105,9 +105,22 @@ class TestRng:
 
 
 def _reference_fill_u64(rng: Rng, count: int) -> np.ndarray:
-    """The one-draw-at-a-time fill_u64 that the lane version replaced."""
+    """The next ``count`` raw draws of ``rng``, one ``next_u64`` at a time."""
     nxt = rng.next_u64
     return np.array([nxt() for _ in range(count)], dtype=np.uint64)
+
+
+def _lane_fill_u64(rng: Rng, count: int) -> np.ndarray:
+    """The next ``count`` raw draws of ``rng`` as the bulk draws make them:
+    the states ``_lane_chunks`` steps in lanes, output-multiplied, in draw
+    order."""
+    raw = np.empty((-(-count // _LANE_RUN), _LANE_RUN // 2, 2), dtype=np.uint64)
+    for states, pieces in _lane_chunks([(rng, count)]):
+        for _, lo, hi, first in pieces:
+            lane = first // _LANE_RUN
+            raw[lane : lane + hi - lo] = states[:, :, lo:hi].T
+    raw *= np.uint64(_XS64_MUL)
+    return raw.reshape(-1)[:count]
 
 
 def _reference_standard_normal(rng: Rng, rows: int, cols: int) -> np.ndarray:
@@ -196,11 +209,14 @@ EDGE_COUNTS = (0, 1, 15, 16, 17, 4096, 16383, 16384, 16385, 32768 + 5)
 
 
 class TestFillU64:
+    """The raw lanes of ``_lane_chunks``, which every bulk draw runs on, are
+    the ``next_u64`` stream and leave its state behind."""
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(0, 40_000)))
     def test_matches_sequential_stream(self, seed, count):
         lanes, sequential = Rng(seed), Rng(seed)
-        got = lanes.fill_u64(count)
+        got = _lane_fill_u64(lanes, count)
         assert got.dtype == np.uint64 and got.shape == (count,)
         assert np.array_equal(got, _reference_fill_u64(sequential, count))
         assert lanes.next_u64() == sequential.next_u64()
@@ -208,37 +224,37 @@ class TestFillU64:
     @pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
     @pytest.mark.parametrize("count", EDGE_COUNTS)
     def test_edge_counts(self, seed, count):
-        assert np.array_equal(Rng(seed).fill_u64(count), _reference_fill_u64(Rng(seed), count))
+        assert np.array_equal(_lane_fill_u64(Rng(seed), count), _reference_fill_u64(Rng(seed), count))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(0, 3000), st.integers(0, 3000))
     def test_state_continuity(self, seed, a, b):
         ref = _reference_fill_u64(Rng(seed), a + b + 2)
         r = Rng(seed)
-        first = r.fill_u64(a)
-        second = r.fill_u64(b)
+        first = _lane_fill_u64(r, a)
+        second = _lane_fill_u64(r, b)
         assert np.array_equal(np.concatenate([first, second]), ref[: a + b])
         assert r.next_u64() == int(ref[a + b])
         # next_u64 then fill
         r = Rng(seed)
         assert r.next_u64() == int(ref[0])
-        assert np.array_equal(r.fill_u64(a), ref[1 : a + 1])
+        assert np.array_equal(_lane_fill_u64(r, a), ref[1 : a + 1])
 
     def test_random_after_fill(self):
         r, s = Rng(11), Rng(11)
-        r.fill_u64(1000)
+        _lane_fill_u64(r, 1000)
         _reference_fill_u64(s, 1000)
         assert [r.next_u64() for _ in range(5)] == [s.next_u64() for _ in range(5)]
 
     def test_first_draws_pinned(self):
         r = Rng(0)
         assert (r.next_u64(), r.next_u64()) == (0x7BBCB40D550682D0, 0xDE7FE413D00CC9FD)
-        assert Rng(0).fill_u64(2).tolist() == [0x7BBCB40D550682D0, 0xDE7FE413D00CC9FD]
+        assert _lane_fill_u64(Rng(0), 2).tolist() == [0x7BBCB40D550682D0, 0xDE7FE413D00CC9FD]
 
     def test_default_weights_digest(self, default_net):
         h = hashlib.sha256()
         for w in default_net.blocks:
-            for m in (w.wq, w.wk, w.wv, w.wo, w.w1, w.w2, w.wt):
+            for m in (*np.split(w.wqkv, 3, axis=1), w.wo, w.w1, w.w2, w.wt):
                 h.update(m.astype("<f4").tobytes())
         assert h.hexdigest() == "cc55f6b10356e3124caf364903dc28ddbf94d5c79fea2a39526cf7af636f419e"
 

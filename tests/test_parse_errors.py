@@ -314,6 +314,8 @@ BAD_TRACE_JSON = {
     "step_evals_bool": _step0(lambda step: step.update(evals=True)),
     "step_delta_l1_null": _step0(lambda step: step.update(delta_l1=None)),
     "step_scores_string": _step0(lambda step: step.update(scores="none")),
+    # a step record of the format before every record held this field
+    "step_no_degenerate_predictions": _step0(lambda step: step.pop("degenerate_predictions")),
     "light_with_deltas": _edit_json(lambda doc: doc.update(heavy=False)),
 }
 

@@ -345,6 +345,33 @@ class TestTraceSerialization:
         save_trace(twos, tmp_path)
         assert [[a.tolist() for a in stack] for stack in load_trace(tmp_path).deltas] == [[[2.0, 2.0]] * 2] * 3
 
+    def test_save_after_a_failed_save_leaves_no_stale_tensor_files(self, tmp_path, monkeypatch):
+        """A heavy save that fails at its 4th tensor file has removed the
+        header that named the earlier trace's files; a light save after it
+        still leaves only the two JSON files."""
+        steps = [StepRecord(step=s, timestep=900 - s, phase="full") for s in range(5)]
+        heavy = _delta_trace([[np.full(2, s)] * 3 for s in range(5)])
+        heavy.outputs = [np.ones(2, np.float32)] * 5
+        save_trace(heavy, tmp_path)
+        assert len(list(tmp_path.glob("*.f32"))) == 20
+        real_open, tensor_opens = os.open, []
+
+        def failing_open(path, *args, **kwargs):
+            if str(path).endswith(".f32"):
+                tensor_opens.append(path)
+                if len(tensor_opens) == 4:
+                    raise OSError(errno.EIO, "injected", str(path))
+            return real_open(path, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "open", failing_open)
+            with pytest.raises(OSError, match="injected"):
+                save_trace(heavy, tmp_path)
+        light = RunTrace(steps=steps, total_evals=0)
+        save_trace(light, tmp_path)
+        assert sorted(os.listdir(tmp_path)) == ["tensors.json", "trace.json"]
+        assert load_trace(tmp_path).to_dict() == light.to_dict()
+
     def test_failed_save_without_tensors_over_outputs_does_not_load(self, tmp_path, monkeypatch):
         """A light save without outputs over a light trace with outputs (as
         ``analyze`` saves it) that fails at the new header leaves a
