@@ -178,17 +178,15 @@ def _init_block_weights(
 @lru_cache(maxsize=8)
 def _weights_for_config(cfg: DitConfig) -> tuple[BlockWeights, ...]:
     # block i draws from Rng(cfg.seed XOR mix64(i + 1)), as one stream into one
-    # float32 buffer; the blocks' streams are generated together, so the lane
-    # chunks are full across block boundaries.  Weights are immutable and
-    # shared between Network instances for the same config
+    # float32 buffer.  Weights are immutable and shared between Network
+    # instances for the same config
     d = d_emb = cfg.channels
     h = cfg.mlp_ratio * d
     shapes = ((d, d), (d, d), (d, d), (d, d), (d, h), (h, d), (d_emb, d))  # q, k, v, wo .. wt
     count = sum(2 * ((rows * cols + 1) // 2) for rows, cols in shapes)
     storages = [np.empty(-(-count // 16) * 16, dtype=np.float32) for _ in range(cfg.num_blocks)]
-    _standard_normal_into(
-        [(Rng(cfg.seed ^ mix64(i + 1)), storage, count) for i, storage in enumerate(storages)]
-    )
+    for i, storage in enumerate(storages):
+        _standard_normal_into(Rng(cfg.seed ^ mix64(i + 1)), storage, count)
     return tuple(_init_block_weights(storage, shapes, d, d_emb) for storage in storages)
 
 

@@ -412,6 +412,8 @@ class SortblockEngine:
                 ) from None
             if len(flags) != self.num_blocks:
                 raise ConfigError("policy override flag count != num_blocks")
+            if not set(flags) <= {0, 1}:
+                raise ConfigError(f"policy override flags for ranked step {rec.step} must be 0 or 1, got {flags}")
             self.policy = PolicySequence(flags=flags, scores=None)
             return
         if self.trace.steps[-2].step != self.anchor_step:  # the full step before it did not end

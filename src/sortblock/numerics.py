@@ -45,15 +45,15 @@ init, which every process runs before it times anything, frees no
 temporary larger than 128 KiB (one 16,384-element uint64 or float64 work
 buffer), so it leaves glibc's dynamic mmap and trim thresholds where
 start-up left them: freeing a larger mmapped block would raise them for the
-rest of the process.  Only what it keeps, the weights and the jump table, is
-larger.
+rest of the process.  Only what it keeps, the weights, is larger.
 
 The generator (``Rng``) is xorshift64*, whose state step is linear over GF(2).
 ``standard_normal`` uses that to jump lanes ahead and draw 16 values per
-lane in parallel numpy arithmetic (``_lane_chunks``), from a jump table
-built once per process with byte lookup tables ("four Russians"); the
-stream, every weight byte and every latent are those of the
-one-draw-at-a-time ``Rng.next_u64`` (see the class docstring).
+lane in parallel numpy arithmetic (``_lane_chunks``), the lane starts
+doubled with byte lookup tables ("four Russians") of the jumps, built once
+per process (``_lane_jumps``); the stream, every weight byte and every
+latent are those of the one-draw-at-a-time ``Rng.next_u64`` (see the class
+docstring).
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def mix64(x: int) -> int:
 
 
 # lanes: lane l makes draws _LANE_RUN*l .. _LANE_RUN*l + _LANE_RUN-1; fills
-# run in chunks of at most _MAX_LANES lanes (16,384 draws), which bounds the
-# jump table and keeps every uint64 or float64 work buffer at 128 KiB
+# run in chunks of at most _MAX_LANES lanes (16,384 draws), which keeps every
+# uint64 or float64 work buffer at 128 KiB
 _LANE_RUN = 16
 _MAX_LANES = 1024
 
@@ -109,8 +109,9 @@ def _xorshift_step(s: np.ndarray, tmp: np.ndarray) -> None:
     s ^= tmp
 
 
-# the memory position of each byte of a uint64, least significant first
-_BYTE_POSITIONS = range(8) if np.little_endian else range(7, -1, -1)
+# the row of an (8, 256) byte table, flattened, that each byte of a uint64
+# indexes, in memory order: byte k, least significant first, reads row k
+_BYTE_ROWS = 256 * (np.arange(8) if np.little_endian else np.arange(7, -1, -1)).reshape(8, 1)
 
 
 def _byte_tables(images: np.ndarray) -> np.ndarray:
@@ -125,45 +126,30 @@ def _byte_tables(images: np.ndarray) -> np.ndarray:
 
 
 def _gf2_apply(tables: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-    """Write to ``out`` (not aliasing ``v``) the linear map with byte tables
-    ``tables`` (see ``_byte_tables``) applied to every element of the uint64
-    array ``v``, whose last axis is contiguous: one gather and XOR per byte
-    (the "four Russians" method)."""
-    octets = v.view(np.uint8).reshape(v.shape + (8,))
-    for k, position in enumerate(_BYTE_POSITIONS):
-        image = tables[k].take(octets[..., position])
-        if k:
-            out ^= image
-        else:
-            out[...] = image
+    """Write to ``out`` (which may be ``v``) the linear map with byte tables
+    ``tables`` (see ``_byte_tables``) applied to every element of the 1-D
+    contiguous uint64 array ``v``: one gather of all eight bytes' images,
+    then their XOR (the "four Russians" method)."""
+    octets = v.view(np.uint8).reshape(-1, 8).T + _BYTE_ROWS
+    np.bitwise_xor.reduce(tables.reshape(-1).take(octets), axis=0, out=out)
 
 
 @functools.cache
-def _jump_table() -> np.ndarray:
-    """(64, _MAX_LANES) uint64: column l holds the images of the basis vectors
-    1 << b (row b) under T^(_LANE_RUN*l).  Built by doubling: with the first
-    n columns and the byte tables of J = T^(R*n) known, T^(R*(n+l)) =
-    J o T^(R*l) gives the next n columns, and J squares by mapping its own
-    images.  The columns are mapped a few rows at a time, so no temporary
-    outgrows 64 KiB (the allocator rule in the module docstring).
-    Read-only."""
-    columns = np.empty((64, _MAX_LANES), dtype=np.uint64)
-    columns[:, 0] = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-    jump = columns[:, 0].copy()
+def _lane_jumps() -> tuple[np.ndarray, ...]:
+    """The byte tables of the lane jumps T^(_LANE_RUN * 2^k), k = 0 .. 10
+    (up to _MAX_LANES lanes): eleven read-only (8, 256) uint64 arrays of
+    16 KiB.  T^16 is stepped from the basis vectors, and each later jump
+    squares the one before by mapping its own images."""
+    jump = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
     tmp = np.empty_like(jump)
     for _ in range(_LANE_RUN):
         _xorshift_step(jump, tmp)
-    n = 1
-    while n < _MAX_LANES:
-        tables = _byte_tables(jump)
-        rows = min(64, max(1, 8192 // n))
-        for r in range(0, 64, rows):
-            _gf2_apply(tables, columns[r : r + rows, :n], columns[r : r + rows, n : 2 * n])
-        _gf2_apply(tables, jump, tmp)
-        jump, tmp = tmp, jump
-        n *= 2
-    columns.flags.writeable = False
-    return columns
+    tables = []
+    for _ in range(_MAX_LANES.bit_length()):
+        tables.append(_byte_tables(jump))
+        tables[-1].flags.writeable = False
+        _gf2_apply(tables[-1], jump, jump)
+    return tuple(tables)
 
 
 class Rng:
@@ -179,14 +165,14 @@ class Rng:
     numpy lanes: lane l makes draws ``16*l .. 16*l + 15`` from its own start
     state, and all lanes step together as uint64 arrays, one array per
     step.  The state step T (three shift-xors) is linear over GF(2), so
-    T^(16*l) is a 64x64 bit matrix: lane l starts at the XOR of the images
-    of the current state's set bits under it, gathered from a cached jump
-    table.  The output multiply acts on each stepped state and never feeds
-    back into the state, so it is applied afterwards to all draws at once.
-    The table holds 1024 lanes (64 x 1024 uint64, 512 KiB, built once per
-    process from byte lookup tables, see ``_jump_table``); longer fills run
-    in chunks of 16,384 draws, so no work buffer, the weight init's
-    included, outgrows 128 KiB (the allocator rule in the module docstring).
+    T^(16*n) is a 64x64 bit matrix: lanes n .. 2n - 1 start at the starts of
+    lanes 0 .. n - 1 mapped by it, through byte lookup tables built once per
+    process (``_lane_jumps``, 176 KiB).  The output multiply acts on each
+    stepped state and never feeds back into the state, so it is applied
+    afterwards to all draws at once.  Fills run in chunks of 1024 lanes
+    (16,384 draws), each starting one jump after the one before, so no work
+    buffer, the weight init's included, outgrows 128 KiB (the allocator rule
+    in the module docstring).
     """
 
     def __init__(self, seed: int):
@@ -203,49 +189,41 @@ class Rng:
         return (x * _XS64_MUL) & _MASK64
 
 
-def _lane_chunks(streams):
-    """Generate the next ``count`` states of each ``(rng, count)`` in
-    ``streams``, the streams back to back, each padded to whole lanes, in
-    chunks of at most 1024 lanes, and advance each generator by ``count``.
+def _lane_chunks(rng: Rng, count: int):
+    """Generate the next ``count`` states of ``rng``, padded to whole lanes,
+    in chunks of at most 1024 lanes, and advance ``rng`` by ``count``.
 
-    Yields ``(states, pieces)`` per chunk.  ``states`` is a (2, 8, lanes)
+    Yields ``(states, first)`` per chunk.  ``states`` is a (2, 8, lanes)
     uint64 view of one work buffer, overwritten by the next chunk:
-    ``states[p, k, l]`` is the state of draw ``16*l + 2*k + p`` of its lane,
+    ``states[p, k, l]`` is the state of draw ``first + 16*l + 2*k + p``,
     before the output multiply, so each step writes one contiguous row and
-    the first and second draws of all pairs are contiguous halves.
-    ``pieces`` lists ``(i, lo, hi, first)``: lanes ``lo .. hi - 1`` make
-    draws ``first ..`` of stream i.  States past a stream's count are
-    scratch.
+    the first and second draws of all pairs are contiguous halves.  States
+    past ``count`` are scratch.
+
+    In the first chunk lane 0 starts at the generator's state, and lanes
+    n .. 2n - 1 at the starts of lanes 0 .. n - 1 jumped by T^(16*n); each
+    later chunk's lanes start 16,384 draws after the previous chunk's, one
+    more jump.  ``starts`` keeps them, since stepping overwrites ``states``.
     """
-    lane_counts = [-(-max(count, 0) // _LANE_RUN) for _, count in streams]
-    total = sum(lane_counts)
+    total = -(-max(count, 0) // _LANE_RUN)
+    if not total:
+        return
+    jumps = _lane_jumps()
     buf = np.empty(min(total, _MAX_LANES) * _LANE_RUN, dtype=np.uint64)
-    step = np.empty(min(total, _MAX_LANES), dtype=np.uint64)
-    table = _jump_table()
-    stream, done = 0, 0  # lanes of streams[stream] made so far
+    starts = np.empty(min(total, _MAX_LANES), dtype=np.uint64)
+    step = np.empty_like(starts)
+    starts[0] = rng._state
+    for k in range((len(starts) - 1).bit_length()):  # lanes n .. 2n - 1 from lanes 0 .. n - 1
+        n = 1 << k
+        _gf2_apply(jumps[k], starts[: min(n, len(starts) - n)], starts[n : 2 * n])
     for chunk_first in range(0, total, _MAX_LANES):
         lanes = min(_MAX_LANES, total - chunk_first)
         states = buf[: _LANE_RUN * lanes].reshape(2, _LANE_RUN // 2, lanes)
-        pieces = []
-        lo = 0
-        while lo < lanes:
-            while done == lane_counts[stream]:
-                stream, done = stream + 1, 0
-            hi = lo + min(lanes - lo, lane_counts[stream] - done)
-            pieces.append((stream, lo, hi, _LANE_RUN * done))
-            # the lanes' starts: the XOR of the set bits' table rows,
-            # gathered 16 rows (at most 128 KiB) at a time
-            start = states[0, 0, lo:hi]
-            rows = table[:, : hi - lo]
-            state = streams[stream][0]._state
-            bits = [b for b in range(64) if state >> b & 1]
-            np.bitwise_xor.reduce(rows[bits[:16]], axis=0, out=start)
-            for first in range(16, len(bits), 16):
-                start ^= np.bitwise_xor.reduce(rows[bits[first : first + 16]], axis=0)
-            done += hi - lo
-            lo = hi
-        tmp = step[:lanes]
+        if chunk_first:
+            _gf2_apply(jumps[-1], starts[:lanes], starts[:lanes])
         prev = states[0, 0]
+        prev[...] = starts[:lanes]
+        tmp = step[:lanes]
         _xorshift_step(prev, tmp)
         for j in range(1, _LANE_RUN):
             row = states[j % 2, j // 2]
@@ -256,30 +234,28 @@ def _lane_chunks(streams):
             np.right_shift(row, _SHIFT_27, tmp)
             row ^= tmp
             prev = row
-        for i, lo, hi, first in pieces:
-            j = min(_LANE_RUN * (hi - lo), streams[i][1] - first) - 1  # its last draw
-            streams[i][0]._state = int(states[j % 2, j % _LANE_RUN // 2, lo + j // _LANE_RUN])
-        yield states, pieces
+        first = _LANE_RUN * chunk_first
+        j = min(states.size, count - first) - 1  # the chunk's last draw
+        rng._state = int(states[j % 2, j % _LANE_RUN // 2, j // _LANE_RUN])
+        yield states, first
 
 
 _TWO_PI = 2.0 * math.pi
 
 
-def _standard_normal_into(draws) -> None:
-    """For each ``(rng, out, count)`` in ``draws`` (count even), write
-    ``count`` N(0,1) draws to ``out[:count]``, a 1-D float32 array of at
-    least ``count`` rounded up to a multiple of 16 (the slack is scratch),
-    consuming ``count`` draws of ``rng``.
+def _standard_normal_into(rng: Rng, out: np.ndarray, count: int) -> None:
+    """Write ``count`` (even) N(0,1) draws of ``rng`` to ``out[:count]``, a
+    1-D float32 array of at least ``count`` rounded up to a multiple of 16
+    (the slack is scratch), consuming ``count`` draws.
 
     Box-Muller per pair of draws, with the rounding ``standard_normal``
-    documents, one chunk of up to 16,384 draws at a time, the generators
-    back to back (``_lane_chunks``), in work buffers of at most 128 KiB:
-    u1 and u2 are contiguous float64 halves, each of log/sqrt/cos/sin runs
-    on a contiguous array, and the float64 products are rounded to float32
-    as they are written to ``out``.
+    documents, one chunk of up to 16,384 draws at a time (``_lane_chunks``),
+    in work buffers of at most 128 KiB: u1 and u2 are contiguous float64
+    halves, each of log/sqrt/cos/sin runs on a contiguous array, and the
+    float64 products are rounded to float32 as they are written to ``out``.
     """
     work = cos = None
-    for states, pieces in _lane_chunks([(rng, count) for rng, _, count in draws]):
+    for states, first in _lane_chunks(rng, count):
         if work is None:
             work = np.empty(states.size, dtype=np.float64)
             cos = np.empty(states.size // 2, dtype=np.float64)
@@ -298,11 +274,9 @@ def _standard_normal_into(draws) -> None:
         c = cos[: u2.size].reshape(u2.shape)
         np.cos(u2, out=c)
         np.sin(u2, out=u2)
-        for i, lo, hi, first in pieces:
-            out = draws[i][1][first : first + _LANE_RUN * (hi - lo)]
-            pairs = out.reshape(hi - lo, _LANE_RUN // 2, 2).T
-            np.multiply(u1[:, lo:hi], c[:, lo:hi], out=pairs[0])
-            np.multiply(u1[:, lo:hi], u2[:, lo:hi], out=pairs[1])
+        pairs = out[first : first + states.size].reshape(-1, _LANE_RUN // 2, 2).T
+        np.multiply(u1, c, out=pairs[0])
+        np.multiply(u1, u2, out=pairs[1])
 
 
 def standard_normal(rng: Rng, rows: int, cols: int) -> Matrix:
@@ -319,7 +293,7 @@ def standard_normal(rng: Rng, rows: int, cols: int) -> Matrix:
     n = rows * cols
     count = 2 * ((n + 1) // 2)
     out = np.empty(-(-count // _LANE_RUN) * _LANE_RUN, dtype=np.float32)
-    _standard_normal_into([(rng, out, count)])
+    _standard_normal_into(rng, out, count)
     return out[:n].reshape(rows, cols)
 
 

@@ -81,8 +81,8 @@ def fit_ratio_policy(timesteps, l1_values, degree: int = DEFAULT_DEGREE, beta: f
         raise ConfigError("timesteps and l1_values lengths differ")
     if not (np.isfinite(ts).all() and np.isfinite(ys).all()):
         raise ConfigError("timesteps and l1_values must be finite")
-    if len(ts) < degree + 1:
-        raise ConfigError(f"need at least {degree + 1} samples for a degree-{degree} fit")
+    if len(set(ts.tolist())) < degree + 1:  # fewer would leave the fit rank-deficient
+        raise ConfigError(f"need samples at {degree + 1} distinct timesteps or more for a degree-{degree} fit")
     t_min, t_max = float(ts.min()), float(ts.max())
     if not t_max > t_min:
         raise ConfigError("timesteps must span a nonzero range")

@@ -22,7 +22,9 @@ Serialization: scalar records go to one compact JSON document,
 little-endian float32 files named by ``_tensor_file``.  They share one
 shape, so ``tensors.json`` is a one-object header: {version, shape, steps,
 blocks, outputs}, a steps x blocks grid of deltas (present exactly when the
-trace is heavy) and an output for each of the first ``outputs`` steps.
+trace is heavy) and ``outputs`` outputs, one per step; each count is 0 or
+the number of step records, and ``save_trace`` refuses a trace that breaks
+this, or a heavy trace without deltas, with ShapeError.
 Every saved trace has the header; a trace without tensors gets shape [] and
 all counts 0.  A save that writes tensor files, or has stale ones to
 remove, removes the old header first and writes the new one last, so a
@@ -223,6 +225,10 @@ def save_trace(trace: RunTrace, directory) -> None:
     blocks = len(deltas[0]) if deltas else 0
     if any(a.shape != shape for a in files.values()) or any(len(stack) != blocks for stack in deltas):
         raise ShapeError("a trace's tensors must share one shape, and each step must hold one delta per block")
+    if not {len(deltas), len(outputs)} <= {0, len(trace.steps)} or (trace.heavy and not deltas):
+        raise ShapeError(f"a trace of {len(trace.steps)} step records holds {len(deltas)} steps of deltas and "
+                         f"{len(outputs)} outputs; each must be 0 or one per step record, and a heavy trace "
+                         "must hold deltas")
     stale = _own_tensor_files(directory) - files.keys()
     dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
     try:
@@ -295,10 +301,12 @@ def load_trace(directory) -> RunTrace:
     """Read a trace written by ``save_trace``.  ParseError names the file at
     fault: a ``trace.json`` or ``tensors.json`` that is missing, is not JSON,
     or lacks a field or has one of the wrong type; a header of another
-    version, with a negative count, or with deltas where ``trace.json`` says
-    light (or none where it says heavy); a missing, unreadable or wrongly
-    sized tensor file.  A light trace of the format before every trace had
-    a header is refused for its missing ``tensors.json``."""
+    version, with a negative count, with deltas where ``trace.json`` says
+    light (or none where it says heavy), or with a count of delta steps or
+    outputs that is neither 0 nor the number of step records in
+    ``trace.json``; a missing, unreadable or wrongly sized tensor file.  A
+    light trace of the format before every trace had a header is refused
+    for its missing ``tensors.json``."""
     directory = Path(directory)
     path = directory / "trace.json"
     doc = checked(path, read_json(path), _TRACE_FIELDS)
@@ -318,6 +326,9 @@ def load_trace(directory) -> RunTrace:
         raise ParseError(f"{sidecar}: a negative tensor count")
     if (header["steps"] > 0) != trace.heavy:
         raise ParseError(f"{sidecar}: {header['steps']} steps of deltas, although {path} gives heavy={trace.heavy}")
+    if not {header["steps"], header["outputs"]} <= {0, len(trace.steps)}:
+        raise ParseError(f"{sidecar}: {header['steps']} steps of deltas and {header['outputs']} outputs, although "
+                         f"{path} holds {len(trace.steps)} step records")
     nbytes = f32_nbytes(sidecar, header["shape"])
     if trace.heavy or header["outputs"]:
         _read_tensors(trace, directory, header, nbytes)

@@ -153,6 +153,16 @@ class TestFit:
         assert len(lines) == 1 and lines[0].startswith("error: ") and "finite" in lines[0], lines
         assert not (tmp_path / "ratio_policy.json").exists()
 
+    def test_curve_with_too_few_distinct_timesteps_exits_1(self, tmp_path, capsys):
+        """Six rows over two timesteps are too few samples for a degree-5 fit,
+        as five rows are: a validation error, not a runtime error (exit 2)."""
+        (tmp_path / "curve.csv").write_text("step,l1\n" + "".join(f"{1 + i % 2},0.{i}\n" for i in range(6)))
+        rc = _run_main(["fit", "--curve", tmp_path / "curve.csv", "--degree", "5", "--out-dir", tmp_path])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "distinct timesteps" in lines[0], lines
+        assert not (tmp_path / "ratio_policy.json").exists()
+
     def test_malformed_csv_line_number(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("step,l1\n1.0,2.0\noops,not-a-number\n")
         rc = _run_main(["fit", "--curve", tmp_path / "bad.csv", "--out-dir", tmp_path])

@@ -526,6 +526,20 @@ class TestPolicyReplay:
         with pytest.raises(ConfigError):
             run_sortblock(default_net, run, default_sched, cfg, policy_override={})
 
+    def test_override_flags_other_than_0_or_1_raise(self):
+        """Flags 2 and -1 would serve the step, run the sampler to its end
+        and fail the eval accounting there; the first ranked step refuses
+        them before any block is served."""
+        net = init_network(DitConfig(num_blocks=3, num_tokens=8, channels=16))
+        run = make_run(SMALL_SCHED, 20, 0, (8, 16))
+        cfg = SortblockConfig(refresh_interval=3, rho=0.3, window=(1000, 0))
+        _, trace = run_sortblock(net, run, SMALL_SCHED, cfg)
+        override = {step: [2, 0, -1] for step in trace.ranked_flag_schedule()}
+        evals = net.eval_count
+        with pytest.raises(ConfigError, match=f"ranked step {min(override)} must be 0 or 1"):
+            run_sortblock(net, run, SMALL_SCHED, cfg, policy_override=override)
+        assert net.eval_count - evals == sum(r.evals for r in trace.steps[: min(override)])
+
 
 class TestEngineMisuse:
     def test_hook_before_begin_step_raises(self, default_window):

@@ -19,7 +19,7 @@ from sortblock import (
     softmax_rows,
     standard_normal,
 )
-from sortblock.numerics import _LANE_RUN, _XS64_MUL, _jump_table, _lane_chunks
+from sortblock.numerics import _LANE_RUN, _XS64_MUL, _lane_chunks, _lane_jumps
 
 
 class TestLayerNorm:
@@ -115,10 +115,9 @@ def _lane_fill_u64(rng: Rng, count: int) -> np.ndarray:
     the states ``_lane_chunks`` steps in lanes, output-multiplied, in draw
     order."""
     raw = np.empty((-(-count // _LANE_RUN), _LANE_RUN // 2, 2), dtype=np.uint64)
-    for states, pieces in _lane_chunks([(rng, count)]):
-        for _, lo, hi, first in pieces:
-            lane = first // _LANE_RUN
-            raw[lane : lane + hi - lo] = states[:, :, lo:hi].T
+    for states, first in _lane_chunks(rng, count):
+        lane = first // _LANE_RUN
+        raw[lane : lane + states.shape[2]] = states.T
     raw *= np.uint64(_XS64_MUL)
     return raw.reshape(-1)[:count]
 
@@ -140,46 +139,13 @@ def _reference_standard_normal(rng: Rng, rows: int, cols: int) -> np.ndarray:
     return out[:n].astype(np.float32).reshape(rows, cols)
 
 
-def _reference_jump_table() -> np.ndarray:
-    """The jump table built one bit position at a time: the doubling build
-    the byte-table build replaced, operation for operation."""
-
-    def gf2_apply(images, v, out):
-        out[...] = 0
-        bit = np.empty_like(v)
-        for b in range(64):
-            np.right_shift(v, b, out=bit)
-            bit &= 1
-            bit *= images[b]
-            out ^= bit
-
-    columns = np.empty((64, 1024), dtype=np.uint64)
-    columns[:, 0] = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-    jump = columns[:, 0].copy()
-    for _ in range(16):  # T^16, one xorshift64 step at a time
-        jump ^= jump >> np.uint64(12)
-        jump ^= jump << np.uint64(25)
-        jump ^= jump >> np.uint64(27)
-    n = 1
-    while n < 1024:
-        rows = min(64, max(1, 8192 // n))
-        for r in range(0, 64, rows):
-            gf2_apply(jump, columns[r : r + rows, :n], columns[r : r + rows, n : 2 * n])
-        square = jump.copy()
-        gf2_apply(square, square, jump)
-        n *= 2
-    return columns
-
-
-class TestJumpTable:
-    def test_matches_per_bit_build(self):
-        table = _jump_table()
-        assert table.dtype == np.uint64 and table.shape == (64, 1024)
-        assert np.array_equal(table, _reference_jump_table())
-
+class TestLaneJumps:
     def test_read_only(self):
-        with pytest.raises(ValueError):
-            _jump_table()[0, 0] = 0
+        jumps = _lane_jumps()
+        assert len(jumps) == 11 and all(t.dtype == np.uint64 and t.shape == (8, 256) for t in jumps)
+        for table in jumps:
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
 
 
 class TestStandardNormal:
@@ -203,9 +169,10 @@ class TestStandardNormal:
         assert got.tobytes() == _reference_standard_normal(Rng(99), *shape).tobytes()
 
 
-# lane edges (a lane is 16 draws), chunk edges (1024 lanes) and the fill sizes
-# of the default network's weights
-EDGE_COUNTS = (0, 1, 15, 16, 17, 4096, 16383, 16384, 16385, 32768 + 5)
+# lane edges (a lane is 16 draws), fills just past a power of two of lanes
+# (3 and 513 lanes: a partial last doubling), chunk edges (1024 lanes), and
+# fills of three and four chunks (two and three chunk jumps)
+EDGE_COUNTS = (0, 1, 15, 16, 17, 33, 4096, 8193, 16383, 16384, 16385, 32768 + 5, 3 * 16384 + 1)
 
 
 class TestFillU64:

@@ -317,6 +317,8 @@ BAD_TRACE_JSON = {
     # a step record of the format before every record held this field
     "step_no_degenerate_predictions": _step0(lambda step: step.pop("degenerate_predictions")),
     "light_with_deltas": _edit_json(lambda doc: doc.update(heavy=False)),
+    # the header counts 3 steps of deltas and 3 outputs
+    "fewer_step_records": _edit_json(lambda doc: doc["steps"].pop()),
 }
 
 

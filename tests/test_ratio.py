@@ -115,6 +115,12 @@ class TestFitRatioPolicy:
         with pytest.raises(ConfigError):
             fit_ratio_policy([0, 1, 2], [0.1, 0.2, 0.3], degree=3)
 
+    def test_too_few_distinct_timesteps_raise(self):
+        """Six samples at two timesteps would make a rank-deficient degree-5
+        fit (a FitError); they are refused as too few samples."""
+        with pytest.raises(ConfigError, match="6 distinct timesteps"):
+            fit_ratio_policy([1, 2, 1, 2, 1, 2], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], degree=5)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_sample_raises(self, bad):
         """A non-finite sample would fit non-finite coefficients (a raise,

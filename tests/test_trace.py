@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import os
@@ -454,6 +455,19 @@ class TestTraceSerialization:
         trace = _delta_trace([[np.zeros((2, 3))], [np.zeros((3, 2))]])
         with pytest.raises(ShapeError):
             save_trace(trace, tmp_path)
+
+    def test_tensor_counts_other_than_the_step_records_are_refused(self, tmp_path):
+        """Deltas or outputs for fewer or more steps than the trace has step
+        records, or a heavy trace without deltas: the save writes nothing,
+        so every saved trace loads."""
+        trace = _delta_trace([[np.zeros(2)]] * 3)
+        for edit in (lambda t: t.steps.pop(), lambda t: setattr(t, "outputs", [np.zeros(2, np.float32)] * 2),
+                     lambda t: setattr(t, "deltas", None)):
+            broken = dataclasses.replace(trace, steps=list(trace.steps))
+            edit(broken)
+            with pytest.raises(ShapeError, match="step records"):
+                save_trace(broken, tmp_path)
+            assert list(tmp_path.iterdir()) == []
 
     def test_ranked_flag_schedule_extraction(self, default_net, default_sched, default_run_factory, default_window):
         cfg = SortblockConfig(refresh_interval=5, rho=0.3, window=default_window)
